@@ -10,7 +10,7 @@ from .cone_problem import (
     write_cone,
     write_rays,
 )
-from .dd_engine import Ray, RayInner, RunConfig, RunStats, recover, run
+from .dd_engine import Ray, RunConfig, RunStats, recover, run
 from .oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from .ordering import (
     OrderingStrategy,
@@ -38,7 +38,6 @@ __all__ = [
     "OracleLimit",
     "OrderingStrategy",
     "Ray",
-    "RayInner",
     "RunConfig",
     "RunStats",
     "Skeleton",

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import sys
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -196,25 +197,21 @@ def _parse_matrix(spec: str) -> list[RunConfig]:
             raise ParseError(f"matrix key {key!r} has no values")
         values[key] = entries
     configs = []
-    for order in values["order"]:
-        for adjacency in values["adjacency"]:
-            for rep in values["rep"]:
-                for filtering in values["filter"]:
-                    for prefilter in values["prefilter"]:
-                        if filtering not in ("on", "off"):
-                            raise ParseError(f"bad filter value {filtering!r}")
-                        try:
-                            configs.append(
-                                RunConfig(
-                                    ordering=parse_strategy(order),
-                                    adjacency=adjacency,
-                                    representation=rep,
-                                    filtering=filtering == "on",
-                                    dim_prefilter=prefilter,
-                                )
-                            )
-                        except ValueError as exc:
-                            raise ParseError(str(exc)) from None
+    for order, adjacency, rep, filtering, prefilter in product(*(values[k] for k in _MATRIX_KEYS)):
+        if filtering not in ("on", "off"):
+            raise ParseError(f"bad filter value {filtering!r}")
+        try:
+            configs.append(
+                RunConfig(
+                    ordering=parse_strategy(order),
+                    adjacency=adjacency,
+                    representation=rep,
+                    filtering=filtering == "on",
+                    dim_prefilter=prefilter,
+                )
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     return configs
 
 

@@ -8,25 +8,32 @@ sides.  With filtering enabled, only pairs whose combination can still meet
 the group constraints are considered, so inadmissible rays never enter the
 working sets.
 
-Vertices carry either full coordinates (`Ray`) or the vector of inner
-products with the still-unprocessed hyperplanes (`RayInner`); both carry
-zero-set bitmasks.  Inner-product vertices are resolved back to coordinates
-at the end of the run via `recover`.
+Every working vertex is a `Vertex`: its zero set as an int bitmask plus a
+list of integer values.  The representation switch decides only what the
+values are.  Under `full` they are the coordinates, and a hyperplane value is
+a dot product.  Under `inner` they are the inner products with the
+hyperplanes not yet processed, in the order of `EngineState.remaining`; a
+hyperplane value is a list entry, and each step deletes the processed entry,
+so vertices shrink as the run goes on.  Compatibility, the prefilter and the
+combinatorial adjacency test read only the masks.  At the end, `full`
+vertices already hold their coordinates and `inner` ones are resolved by
+`recover` from their zero sets.  `Ray` is the output type.
+
+The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
+64-bit limb of every stored value.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import zeroset as zs
 from .cone_problem import EnumerationProblem
 from .errors import InternalError
-from .exact_linalg import IntVector, dot, gcd_normalize, nullspace_generator, rank, unit_row
+from .exact_linalg import IntVector, dot, nullspace_generator, rank, unit_row, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
-from .zeroset import ZeroSet
+from .zeroset import ZeroSet, compatible, group_needs, zero_mask
 
 ADJACENCY_MODES = ("comb", "alg")
 REPRESENTATIONS = ("full", "inner")
@@ -35,37 +42,24 @@ PREFILTER_MODES = ("off", "basic", "extended")
 
 @dataclass(frozen=True)
 class Ray:
-    """Full-coordinate vertex: non-negative integer coordinates at gcd 1."""
+    """Output ray: non-negative integer coordinates at gcd 1 and their zero set."""
 
     coords: IntVector
     zeros: ZeroSet
 
-    def hyperplane_value(self, k: int, problem: EnumerationProblem) -> int:
-        return dot(problem.equations[k], self.coords)
 
+class Vertex(NamedTuple):
+    """Working vertex: zero-set bitmask plus coordinates (`full`) or the
+    products with the unprocessed hyperplanes (`inner`).
 
-def make_ray(coords: Sequence[int]) -> Ray:
-    normalized = gcd_normalize(coords)
-    if any(x < 0 for x in normalized):
-        raise ValueError("rays must be non-negative")
-    return Ray(normalized, zs.zeroset_of(normalized))
+    The values are a list, not a tuple: under `inner` they lose one entry a
+    stage, and freed tuples of every length would fill CPython's per-length
+    tuple free lists (peak RSS 2.25 MiB against 1.625 MiB on the unfiltered
+    n = 6 loop).
+    """
 
-
-@dataclass
-class RayInner:
-    """Inner-product vertex: maps unprocessed hyperplane index -> m^(k) . v."""
-
-    products: dict[int, int]
-    zeros: ZeroSet
-
-    def hyperplane_value(self, k: int, problem: EnumerationProblem) -> int:
-        try:
-            return self.products[k]
-        except KeyError:
-            raise InternalError(f"no stored product for hyperplane {k}") from None
-
-
-Vertex = Union[Ray, RayInner]
+    mask: int
+    values: list[int]
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,25 @@ class RunStats:
     def max_vertex_count(self) -> int:
         return max(self.sizes) if self.sizes else 0
 
+    def record(self, vertices: Sequence[Vertex], dim: int) -> None:
+        """Append the size, memory proxy and (if traced) zero sets of a stage."""
+        self.sizes.append(len(vertices))
+        self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
+        if self.zeros_trace is not None:
+            self.zeros_trace.append(tuple(sorted(v.mask for v in vertices)))
+
 
 @dataclass
 class EngineState:
+    """V_i with its bookkeeping.  `processed` lists the hyperplanes in the
+    order they were handled; `remaining` lists the others, in the order of
+    the values of an `inner` vertex."""
+
     problem: EnumerationProblem
     config: RunConfig
-    vertices: list
+    vertices: list[Vertex]
     processed: list[int]
+    remaining: list[int]
     sep: int
     stats: RunStats
 
@@ -115,57 +121,47 @@ class EngineState:
 # Pair audit callback: (processed_count, sep_before, zero_count, adjacent).
 PairAudit = Callable[[int, int, int, bool], None]
 
-
-def _limbs(x: int) -> int:
-    return max(1, (abs(x).bit_length() + 63) // 64)
+_ONE_LIMB = 1 << 64
 
 
-def vertex_bytes(v: Vertex) -> int:
-    """Logical size of a stored vertex: 8 bytes per integer limb plus mask words."""
-    mask = 8 * v.zeros.words()
-    if isinstance(v, Ray):
-        return mask + 8 * sum(_limbs(c) for c in v.coords)
-    return mask + 8 * sum(_limbs(t) for t in v.products.values())
+def vertex_bytes(v: Vertex, dim: int) -> int:
+    """Logical size of a stored vertex: 8 bytes per mask word and per 64-bit
+    limb of each stored value."""
+    values = v.values
+    if not values or (-_ONE_LIMB < min(values) and max(values) < _ONE_LIMB):
+        limbs = len(values)
+    else:
+        limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
+    return 8 * ((dim + 63) // 64 + limbs)
 
 
-def stage_bytes(vertices: Sequence[Vertex]) -> int:
-    return sum(vertex_bytes(v) for v in vertices)
-
-
-def init_vertices(problem: EnumerationProblem, representation: str) -> list:
+def init_vertices(problem: EnumerationProblem, representation: str) -> list[Vertex]:
     """V_0: the d unit rays, in the requested representation."""
     d = problem.dim
-    g = len(problem.equations)
     full_bits = (1 << d) - 1
-    out: list[Vertex] = []
-    for j in range(d):
-        zeros = ZeroSet(full_bits ^ (1 << j), d)
-        if representation == "full":
-            out.append(Ray(unit_row(d, j), zeros))
-        else:
-            out.append(RayInner({k: problem.equations[k][j] for k in range(g)}, zeros))
-    return out
+    if representation == "full":
+        return [Vertex(full_bits ^ (1 << j), list(unit_row(d, j))) for j in range(d)]
+    return [
+        Vertex(full_bits ^ (1 << j), [row[j] for row in problem.equations]) for j in range(d)
+    ]
 
 
-def partition(vertices: Sequence[Vertex], k: int, problem: EnumerationProblem):
-    """Split vertices by the sign of their value against hyperplane k."""
-    s_zero: list[Vertex] = []
-    s_pos: list[Vertex] = []
-    s_neg: list[Vertex] = []
-    for v in vertices:
-        t = v.hyperplane_value(k, problem)
-        if t == 0:
-            s_zero.append(v)
-        elif t > 0:
-            s_pos.append(v)
-        else:
-            s_neg.append(v)
-    return s_zero, s_pos, s_neg
+def _position(state: EngineState, k: int) -> int:
+    """Index of hyperplane k in `remaining`, which is where an `inner`
+    vertex stores its product with k."""
+    try:
+        return state.remaining.index(k)
+    except ValueError:
+        raise InternalError(f"no stored product for hyperplane {k}") from None
 
 
-def compatible(u: Vertex, w: Vertex, groups: Sequence[Sequence[int]]) -> bool:
-    """True iff the combined ray can still satisfy the group constraints."""
-    return zs.group_satisfied(zs.intersect(u.zeros, w.zeros), groups)
+def hyperplane_values(state: EngineState, k: int) -> list[int]:
+    """Value of each vertex of the state against hyperplane k, in order."""
+    i = _position(state, k)  # also rejects a processed hyperplane
+    if state.config.representation == "full":
+        row = state.problem.equations[k]
+        return [dot(row, v.values) for v in state.vertices]
+    return [v.values[i] for v in state.vertices]
 
 
 def prefilter_pass(zero_count: int, processed_count: int, sep_before: int, mode: str, dim: int) -> bool:
@@ -183,72 +179,51 @@ def prefilter_pass(zero_count: int, processed_count: int, sep_before: int, mode:
     raise ValueError(f"unknown prefilter mode: {mode!r}")
 
 
-def dim_prefilter(u: Vertex, w: Vertex, state: EngineState, mode: str) -> bool:
-    zero_count = zs.count(zs.intersect(u.zeros, w.zeros))
-    return prefilter_pass(zero_count, len(state.processed), state.sep, mode, state.problem.dim)
-
-
-def adjacent_combinatorial(u: Vertex, w: Vertex, vertices: Sequence[Vertex]) -> bool:
+def adjacent_combinatorial(u_mask: int, w_mask: int, masks: Sequence[int]) -> bool:
     """No third vertex's zero set contains Z(u) & Z(w).
 
-    Vertices whose zero set equals Z(u) or Z(w) are skipped, so duplicates of
-    the pair itself are never witnesses.
+    Zero sets equal to Z(u) or Z(w) are skipped, so duplicates of the pair
+    itself are never witnesses.
     """
-    inter = u.zeros.bits & w.zeros.bits
-    ub, wb = u.zeros.bits, w.zeros.bits
-    for z in vertices:
-        zb = z.zeros.bits
-        if zb == ub or zb == wb:
-            continue
-        if zb & inter == inter:
+    inter = u_mask & w_mask
+    for z in masks:
+        if z & inter == inter and z != u_mask and z != w_mask:
             return False
     return True
 
 
 def adjacent_algebraic(
-    u: Vertex, w: Vertex, problem: EnumerationProblem, processed: Sequence[int]
+    u_mask: int, w_mask: int, problem: EnumerationProblem, processed: Sequence[int]
 ) -> bool:
     """Rank test: processed rows plus unit rows for Z(u) & Z(w) span d-2 dims."""
     d = problem.dim
-    inter = zs.intersect(u.zeros, w.zeros)
+    inter = u_mask & w_mask
     rows = [problem.equations[k] for k in processed]
-    rows.extend(unit_row(d, j) for j in inter.indices())
+    rows.extend(unit_row(d, j) for j in range(d) if inter >> j & 1)
     return rank(rows) == d - 2
 
 
-def combine(u: Vertex, w: Vertex, k: int, problem: EnumerationProblem) -> Vertex:
-    """Combination of a positive-side u and negative-side w on hyperplane k."""
-    a = u.hyperplane_value(k, problem)
-    b = w.hyperplane_value(k, problem)
+def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex:
+    """a*w - b*u, divided by the gcd of its values, for u with value a > 0
+    and w with value b < 0 on the hyperplane being processed.
+
+    Under `inner`, `drop` is the position of that hyperplane's product, which
+    is deleted.  Under `full` it is None, and the zero set of the combined
+    coordinates must equal Z(u) & Z(w).
+    """
     if a <= 0 or b >= 0:
         raise InternalError("combine requires u on the positive side and w on the negative side")
-    if isinstance(u, Ray) and isinstance(w, Ray):
-        return _combine_full(u, w, a, b)
-    if isinstance(u, RayInner) and isinstance(w, RayInner):
-        return _combine_inner(u, w, a, b, k)
-    raise InternalError("cannot combine vertices of different representations")
-
-
-def _combine_full(u: Ray, w: Ray, a: int, b: int) -> Ray:
-    coords = gcd_normalize(tuple(a * wj - b * uj for uj, wj in zip(u.coords, w.coords)))
-    zeros = zs.intersect(u.zeros, w.zeros)
-    if zs.zeroset_of(coords) != zeros:
-        raise InternalError("combined ray zero set does not match its coordinates")
-    return Ray(coords, zeros)
-
-
-def _combine_inner(u: RayInner, w: RayInner, a: int, b: int, k: int) -> RayInner:
-    wp = w.products
-    products = {j: a * wp[j] - b * uv for j, uv in u.products.items() if j != k}
-    g = 0
-    for val in products.values():
-        g = gcd(g, val)
-        if g == 1:
-            break
+    mask = u.mask & w.mask
+    values = [a * wv - b * uv for uv, wv in zip(u.values, w.values)]
+    if drop is None:
+        if zero_mask(values) != mask:
+            raise InternalError("combined ray zero set does not match its coordinates")
+    else:
+        del values[drop]
+    g = vector_gcd(values)
     if g > 1:
-        for j in products:
-            products[j] //= g
-    return RayInner(products, zs.intersect(u.zeros, w.zeros))
+        values = [x // g for x in values]
+    return Vertex(mask, values)
 
 
 def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> EngineState:
@@ -261,82 +236,57 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
-    inner = cfg.representation == "inner"
-    filtering = cfg.filtering
-    mode = cfg.dim_prefilter
-    comb_adjacency = cfg.adjacency == "comb"
     vertices = state.vertices
+    values = hyperplane_values(state, k)
+    position = _position(state, k)
+    drop = position if cfg.representation == "inner" else None
     processed_count = len(state.processed)
     sep_before = state.sep
-    target = d - 2
 
-    values = [v.hyperplane_value(k, problem) for v in vertices]
     new_vertices: list[Vertex] = []
     s_pos: list[tuple[Vertex, int]] = []
     s_neg: list[tuple[Vertex, int]] = []
     for v, t in zip(vertices, values):
         if t == 0:
-            if inner:
-                products = dict(v.products)
-                if products.pop(k, None) is None:
-                    raise InternalError(f"no stored product for hyperplane {k}")
-                new_vertices.append(RayInner(products, v.zeros))
-            else:
+            if drop is None:
                 new_vertices.append(v)
+            else:
+                new_vertices.append(Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
         elif t > 0:
             s_pos.append((v, t))
         else:
             s_neg.append((v, t))
 
-    group_info = [(zs.group_mask(group), len(group) - 1) for group in problem.groups]
-    witness_bits = [v.zeros.bits for v in vertices]
-
+    filtering = cfg.filtering
+    needs = group_needs(problem.groups)
+    mode = cfg.dim_prefilter
+    comb_adjacency = cfg.adjacency == "comb"
+    masks = [v.mask for v in vertices]
     for u, a in s_pos:
-        ub = u.zeros.bits
+        u_mask = u.mask
         for w, b in s_neg:
-            inter = ub & w.zeros.bits
-            if filtering:
-                ok = True
-                for mask, need in group_info:
-                    if (inter & mask).bit_count() < need:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            inter = u_mask & w.mask
+            if filtering and not compatible(inter, needs):
+                continue
             zero_count = inter.bit_count()
-            if mode == "basic":
-                if zero_count + processed_count < target:
-                    continue
-            elif mode == "extended":
-                if zero_count + sep_before < target:
-                    continue
+            if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
+                continue
             if comb_adjacency:
-                wb = w.zeros.bits
-                adjacent = True
-                for zb in witness_bits:
-                    if zb & inter == inter and zb != ub and zb != wb:
-                        adjacent = False
-                        break
+                adjacent = adjacent_combinatorial(u_mask, w.mask, masks)
             else:
-                adjacent = adjacent_algebraic(u, w, problem, state.processed)
+                adjacent = adjacent_algebraic(u_mask, w.mask, problem, state.processed)
             if pair_audit is not None:
                 pair_audit(processed_count, sep_before, zero_count, adjacent)
-            if not adjacent:
-                continue
-            if inner:
-                new_vertices.append(_combine_inner(u, w, a, b, k))
-            else:
-                new_vertices.append(_combine_full(u, w, a, b))
+            if adjacent:
+                new_vertices.append(combine(u, w, a, b, drop))
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     stats = state.stats
-    stats.sizes.append(len(new_vertices))
     stats.pair_counts.append(len(s_pos) * len(s_neg))
     stats.sep_trace.append(sep)
-    stats.mem_trace.append(stage_bytes(new_vertices))
-    if stats.zeros_trace is not None:
-        stats.zeros_trace.append(tuple(sorted(v.zeros.bits for v in new_vertices)))
-    return EngineState(problem, cfg, new_vertices, state.processed + [k], sep, stats)
+    stats.record(new_vertices, d)
+    remaining = state.remaining[:position] + state.remaining[position + 1:]
+    return EngineState(problem, cfg, new_vertices, state.processed + [k], remaining, sep, stats)
 
 
 def recover(problem: EnumerationProblem, zeros: ZeroSet) -> Ray:
@@ -383,20 +333,15 @@ def run(
     if config is None:
         config = RunConfig()
     start = time.perf_counter()
+    d = problem.dim
     vertices = init_vertices(problem, config.representation)
     stats = RunStats(zeros_trace=[] if trace_zeros else None)
-    stats.sizes.append(len(vertices))
-    stats.mem_trace.append(stage_bytes(vertices))
-    if stats.zeros_trace is not None:
-        stats.zeros_trace.append(tuple(sorted(v.zeros.bits for v in vertices)))
-    state = EngineState(problem, config, vertices, [], 0, stats)
+    stats.record(vertices, d)
+    state = EngineState(problem, config, vertices, [], list(range(len(problem.equations))), 0, stats)
 
-    g = len(problem.equations)
     if config.ordering.kind == "dynamic":
-        remaining = set(range(g))
-        while remaining:
-            k = choose_dynamic(remaining, state.vertices, problem)
-            remaining.discard(k)
+        while state.remaining:
+            k = choose_dynamic(state.remaining, lambda j: hyperplane_values(state, j))
             state = step(state, k, pair_audit=pair_audit)
             if stage_hook is not None:
                 stage_hook(state)
@@ -407,9 +352,9 @@ def run(
                 stage_hook(state)
 
     if config.representation == "inner":
-        finals = [recover(problem, v.zeros) for v in state.vertices]
+        finals = [recover(problem, ZeroSet(v.mask, d)) for v in state.vertices]
     else:
-        finals = list(state.vertices)
+        finals = [Ray(tuple(v.values), ZeroSet(v.mask, d)) for v in state.vertices]
     unique: dict[IntVector, Ray] = {}
     for r in finals:
         unique[r.coords] = r

@@ -123,20 +123,3 @@ def nullspace_generator(rows: Sequence[Sequence[int]], ncols: int) -> Optional[I
         x[col] = -val // p
     return gcd_normalize(x)
 
-
-def nullspace_ray(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> IntVector:
-    """Non-negative gcd-1 generator of a one-dimensional nullspace.
-
-    Raises ValueError if the nullity is not exactly 1 or if the generating
-    line contains no non-negative vector (mixed-sign generator).
-    """
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer column count from an empty matrix")
-        ncols = len(rows[0])
-    gen = nullspace_generator(rows, ncols)
-    if gen is None:
-        raise ValueError("nullspace dimension is not 1")
-    if any(x < 0 for x in gen):
-        raise ValueError("nullspace generator has mixed signs")
-    return gen

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
 from .errors import ParseError
@@ -84,16 +84,11 @@ def order_static(problem: EnumerationProblem, strategy: OrderingStrategy) -> tup
     )
 
 
-def choose_dynamic(
-    unprocessed: Iterable[int],
-    vertices: Sequence,
-    problem: EnumerationProblem,
-) -> int:
-    """Unprocessed index minimizing |S_+| * |S_-| over the given vertices.
+def choose_dynamic(unprocessed: Iterable[int], values_of: Callable[[int], Iterable[int]]) -> int:
+    """Unprocessed index k minimizing |S_+| * |S_-|, where `values_of(k)`
+    gives the value of each current vertex against hyperplane k.
 
-    Ties break toward the lowest index.  Vertices supply their hyperplane
-    value through `hyperplane_value(k, problem)`, so both vertex
-    representations work here.
+    Ties break toward the lowest index.
     """
     candidates = sorted(unprocessed)
     if not candidates:
@@ -102,8 +97,7 @@ def choose_dynamic(
     best_score: Optional[int] = None
     for k in candidates:
         pos = neg = 0
-        for v in vertices:
-            t = v.hyperplane_value(k, problem)
+        for t in values_of(k):
             if t > 0:
                 pos += 1
             elif t < 0:

@@ -3,14 +3,14 @@
 A zero set records which coordinates of a vector vanish.  The engine keys
 nearly everything on these sets: pair compatibility, adjacency witnesses and
 the dimensional prefilters all reduce to mask algebra, so the representation
-is a single unbounded int used as a bit vector (64-bit words are only an
-accounting unit for the memory proxy).
+is a single unbounded int used as a bit vector.  Working vertices carry the
+bare int; `ZeroSet` pairs it with the dimension for output rays and recovery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -36,51 +36,19 @@ class ZeroSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.dim) if (self.bits >> k) & 1)
 
-    def words(self) -> int:
-        """Number of 64-bit words the mask occupies; used by the memory proxy."""
-        return (self.dim + 63) // 64
 
-
-def zeroset_of(vector: Sequence[int]) -> ZeroSet:
-    """Zero set of a vector: bit k set iff vector[k] == 0."""
+def zero_mask(vector: Sequence[int]) -> int:
+    """Bitmask with bit k set iff vector[k] == 0."""
     bits = 0
     for k, x in enumerate(vector):
         if x == 0:
             bits |= 1 << k
-    return ZeroSet(bits, len(vector))
+    return bits
 
 
-def from_indices(indices: Iterable[int], dim: int) -> ZeroSet:
-    bits = 0
-    for k in indices:
-        if not 0 <= k < dim:
-            raise ValueError(f"index {k} out of range for dimension {dim}")
-        bits |= 1 << k
-    return ZeroSet(bits, dim)
-
-
-def full_set(dim: int) -> ZeroSet:
-    return ZeroSet((1 << dim) - 1, dim)
-
-
-def _check_dims(a: ZeroSet, b: ZeroSet) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def intersect(a: ZeroSet, b: ZeroSet) -> ZeroSet:
-    _check_dims(a, b)
-    return ZeroSet(a.bits & b.bits, a.dim)
-
-
-def is_superset(a: ZeroSet, b: ZeroSet) -> bool:
-    """True iff every member of b is in a."""
-    _check_dims(a, b)
-    return b.bits & ~a.bits == 0
-
-
-def count(a: ZeroSet) -> int:
-    return a.bits.bit_count()
+def zeroset_of(vector: Sequence[int]) -> ZeroSet:
+    """Zero set of a vector: bit k set iff vector[k] == 0."""
+    return ZeroSet(zero_mask(vector), len(vector))
 
 
 def group_mask(group: Sequence[int]) -> int:
@@ -90,13 +58,19 @@ def group_mask(group: Sequence[int]) -> int:
     return bits
 
 
-def group_satisfied(z: ZeroSet, groups: Sequence[Sequence[int]]) -> bool:
-    """True iff every group has at most one index absent from z.
+def group_needs(groups: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """(member mask, members that must be zero) for each group."""
+    return [(group_mask(group), len(group) - 1) for group in groups]
 
-    A vector with zero set z has at most one non-zero coordinate per group
-    exactly when this holds.
+
+def compatible(bits: int, needs: Sequence[tuple[int, int]]) -> bool:
+    """True iff a vector with zero set `bits` has at most one non-zero
+    coordinate in each group described by `needs` (see `group_needs`).
+
+    A pair of rays is compatible when the intersection of their zero sets,
+    the zero set of any positive combination, passes.
     """
-    for group in groups:
-        if (z.bits & group_mask(group)).bit_count() < len(group) - 1:
+    for mask, need in needs:
+        if (bits & mask).bit_count() < need:
             return False
     return True

@@ -202,6 +202,15 @@ def test_bad_matrix_key_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "matrix", ["filter=maybe", "rep=sparse", "prefilter=bogus", "order=lexrand"]
+)
+def test_bad_matrix_value_is_input_error(tmp_path, matrix):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--input", GIESEKING, "--matrix", matrix, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["enumerate", "--input", "/nonexistent/file.cone"],

@@ -9,27 +9,27 @@ from hypothesis import strategies as st
 
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import (
-    Ray,
-    RayInner,
+    EngineState,
     RunConfig,
+    RunStats,
+    Vertex,
     adjacent_algebraic,
     adjacent_combinatorial,
     combine,
-    compatible,
+    hyperplane_values,
     init_vertices,
-    make_ray,
-    partition,
     prefilter_pass,
     recover,
     run,
-    stage_bytes,
+    step,
     vertex_bytes,
 )
 from conedd.errors import InternalError
+from conedd.exact_linalg import dot
 from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations
-from conedd.zeroset import from_indices, full_set, zeroset_of
+from conedd.zeroset import ZeroSet, compatible, group_needs, zero_mask
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,54 +43,71 @@ def coords_of(rays):
     return [r.coords for r in rays]
 
 
-def test_make_ray_normalizes():
-    r = make_ray((0, 2, 4))
-    assert r.coords == (0, 1, 2)
-    assert r.zeros.indices() == (0,)
-    with pytest.raises(ValueError):
-        make_ray((1, -1, 0))
-    with pytest.raises(ValueError):
-        make_ray((0, 0, 0))
+def zero_set(indices, dim):
+    return ZeroSet(sum(1 << j for j in indices), dim)
+
+
+def initial_state(problem, representation):
+    """V_0 as `run` builds it, before any hyperplane is processed."""
+    config = RunConfig(representation=representation)
+    vertices = init_vertices(problem, representation)
+    g = len(problem.equations)
+    return EngineState(problem, config, vertices, [], list(range(g)), 0, RunStats())
+
+
+def vertex(coords):
+    """A `full` vertex with the given coordinates."""
+    return Vertex(zero_mask(coords), list(coords))
 
 
 def test_init_vertices_full():
     vs = init_vertices(GIESEKING, "full")
-    assert coords_of(vs) == [tuple(1 if i == j else 0 for i in range(7)) for j in range(7)]
-    assert all(v.zeros.indices() == tuple(i for i in range(7) if i != j) for j, v in enumerate(vs))
+    assert [v.values for v in vs] == [[1 if i == j else 0 for i in range(7)] for j in range(7)]
+    assert all(v.mask == zero_mask(v.values) for v in vs)
 
 
 def test_init_vertices_inner():
     vs = init_vertices(GIESEKING, "inner")
     for j, v in enumerate(vs):
-        assert v.products == {k: GIESEKING.equations[k][j] for k in range(5)}
+        assert v.values == [GIESEKING.equations[k][j] for k in range(5)]
+        assert v.mask == ((1 << 7) - 1) ^ (1 << j)
     # Column 0 of the fixture: only the last equation touches coordinate 0.
-    assert vs[0].products == {0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    assert vs[0].values == [0, 0, 0, 0, 1]
 
 
 def test_representations_agree_on_hyperplane_values():
-    full = init_vertices(GIESEKING, "full")
-    inner = init_vertices(GIESEKING, "inner")
-    for vf, vi in zip(full, inner):
-        for k in range(5):
-            assert vf.hyperplane_value(k, GIESEKING) == vi.hyperplane_value(k, GIESEKING)
+    full = initial_state(GIESEKING, "full")
+    inner = initial_state(GIESEKING, "inner")
+    for k in range(5):
+        assert hyperplane_values(full, k) == hyperplane_values(inner, k)
+    # After a step the inner vertices hold one product fewer, stored in the
+    # order of `remaining`, and still agree with the coordinates.
+    full, inner = step(full, 2), step(inner, 2)
+    assert inner.remaining == full.remaining == [0, 1, 3, 4]
+    assert all(len(v.values) == 4 for v in inner.vertices)
+    for k in inner.remaining:
+        assert hyperplane_values(full, k) == hyperplane_values(inner, k)
 
 
 def test_partition_first_hyperplane():
-    vs = init_vertices(GIESEKING, "full")
-    s_zero, s_pos, s_neg = partition(vs, 0, GIESEKING)
-    assert coords_of(s_pos) == [(0, 0, 0, 0, 0, 0, 1)]
-    assert coords_of(s_neg) == [(0, 0, 0, 0, 0, 1, 0)]
-    assert len(s_zero) == 5
+    state = initial_state(GIESEKING, "full")
+    values = hyperplane_values(state, 0)
+    assert [j for j, t in enumerate(values) if t > 0] == [6]
+    assert [j for j, t in enumerate(values) if t < 0] == [5]
+    assert values.count(0) == 5
+    after = step(state, 0)
+    # S_0 is kept in order; the one pair (e6, e5) breaks the quad group.
+    assert after.vertices == state.vertices[:5]
+    assert after.stats.pair_counts == [1]
 
 
 def test_compatible():
-    groups = GIESEKING.groups
-    e4, e5 = make_ray((0, 0, 0, 0, 1, 0, 0)), make_ray((0, 0, 0, 0, 0, 1, 0))
-    e0 = make_ray((1, 0, 0, 0, 0, 0, 0))
+    needs = group_needs(GIESEKING.groups)
+    e0, e4, e5 = (init_vertices(GIESEKING, "full")[j] for j in (0, 4, 5))
     # e4 + e5 would have two nonzero quadrilateral coordinates: incompatible.
-    assert not compatible(e4, e5, groups)
-    assert compatible(e0, e4, groups)
-    assert compatible(e0, e0, groups)
+    assert not compatible(e4.mask & e5.mask, needs)
+    assert compatible(e0.mask & e4.mask, needs)
+    assert compatible(e0.mask & e0.mask, needs)
 
 
 def test_prefilter_pass_arithmetic():
@@ -117,66 +134,91 @@ def test_extended_no_weaker_than_basic():
 
 
 def test_adjacent_combinatorial_unit_rays():
-    vs = init_vertices(GIESEKING, "full")
+    masks = [v.mask for v in init_vertices(GIESEKING, "full")]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
-    assert adjacent_combinatorial(vs[5], vs[6], vs)
+    assert adjacent_combinatorial(masks[5], masks[6], masks)
 
 
 def test_adjacent_combinatorial_witness():
-    u = make_ray((1, 0, 1, 0))
-    w = make_ray((0, 1, 0, 1))
-    z = make_ray((1, 1, 1, 1))
+    u = zero_mask((1, 0, 1, 0))
+    w = zero_mask((0, 1, 0, 1))
+    z = zero_mask((1, 1, 1, 1))
     assert adjacent_combinatorial(u, w, [u, w])
     # z's zero set (empty) contains Z(u) & Z(w) (also empty): witness found.
     assert not adjacent_combinatorial(u, w, [u, w, z])
 
 
 def test_adjacent_combinatorial_skips_duplicates_of_pair():
-    u = make_ray((1, 0, 0))
-    w = make_ray((0, 1, 0))
+    u = zero_mask((1, 0, 0))
+    w = zero_mask((0, 1, 0))
     # A duplicate of u in the list must not count as a witness.
-    assert adjacent_combinatorial(u, w, [u, w, make_ray((2, 0, 0))])
+    assert adjacent_combinatorial(u, w, [u, w, zero_mask((2, 0, 0))])
 
 
 def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
-    vs = init_vertices(GIESEKING, "full")
-    _, s_pos, s_neg = partition(vs, 0, GIESEKING)
+    state = initial_state(GIESEKING, "full")
+    values = hyperplane_values(state, 0)
+    masks = [v.mask for v in state.vertices]
+    s_pos = [m for m, t in zip(masks, values) if t > 0]
+    s_neg = [m for m, t in zip(masks, values) if t < 0]
+    assert s_pos and s_neg
     for u in s_pos:
         for w in s_neg:
-            assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent_combinatorial(u, w, vs)
+            assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent_combinatorial(u, w, masks)
 
 
 def test_combine_full():
     vs = init_vertices(GIESEKING, "full")
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
-    r = combine(vs[6], vs[5], 0, GIESEKING)
-    assert r.coords == (0, 0, 0, 0, 0, 1, 1)
-    assert r.zeros.indices() == (0, 1, 2, 3, 4)
+    r = combine(vs[6], vs[5], 1, -1, None)
+    assert r.values == [0, 0, 0, 0, 0, 1, 1]
+    assert ZeroSet(r.mask, 7).indices() == (0, 1, 2, 3, 4)
+    # The result is divided by the gcd of its values.
+    assert combine(vs[6], vs[5], 2, -2, None).values == [0, 0, 0, 0, 0, 1, 1]
 
 
 def test_combine_inner():
     full = init_vertices(GIESEKING, "full")
     inner = init_vertices(GIESEKING, "inner")
-    rf = combine(full[6], full[5], 0, GIESEKING)
-    ri = combine(inner[6], inner[5], 0, GIESEKING)
-    assert ri.zeros == rf.zeros
-    assert 0 not in ri.products  # the processed hyperplane is dropped
-    for k in range(1, 5):
-        assert ri.products[k] == rf.hyperplane_value(k, GIESEKING)
+    rf = combine(full[6], full[5], 1, -1, None)
+    ri = combine(inner[6], inner[5], 1, -1, 0)
+    assert ri.mask == rf.mask
+    # The processed hyperplane's product is dropped; the others are the
+    # products of the combined coordinates with rows 1..4.
+    assert ri.values == [dot(GIESEKING.equations[k], rf.values) for k in range(1, 5)]
 
 
 def test_combine_requires_opposite_sides():
     vs = init_vertices(GIESEKING, "full")
     with pytest.raises(InternalError):
-        combine(vs[5], vs[6], 0, GIESEKING)  # sides swapped
-
-
-def test_combine_rejects_mixed_representations():
-    full = init_vertices(GIESEKING, "full")
-    inner = init_vertices(GIESEKING, "inner")
+        combine(vs[5], vs[6], -1, 1, None)  # sides swapped
     with pytest.raises(InternalError):
-        combine(full[6], inner[5], 0, GIESEKING)
+        combine(vs[6], vs[5], 1, 0, None)  # w on the hyperplane
+
+
+def test_forged_full_vertex_fails_the_zero_set_check():
+    """A `full` vertex whose mask claims a zero its coordinates lack is
+    caught when the engine combines it."""
+    state = initial_state(GIESEKING, "full")
+    e6 = state.vertices[6]
+    forged = Vertex(e6.mask | 1 << 6, e6.values)
+    with pytest.raises(InternalError, match="zero set"):
+        combine(forged, state.vertices[5], 1, -1, None)
+    state.vertices[6] = forged
+    with pytest.raises(InternalError, match="zero set"):
+        step(state, 0)
+
+
+def test_hyperplane_without_stored_product_is_an_internal_error():
+    for representation in ("full", "inner"):
+        state = step(initial_state(GIESEKING, representation), 0)
+        with pytest.raises(InternalError, match="no stored product for hyperplane 0"):
+            hyperplane_values(state, 0)
+        with pytest.raises(InternalError, match="no stored product for hyperplane 0"):
+            step(state, 0)
+        with pytest.raises(InternalError, match="hyperplane 5"):
+            step(state, 5)
 
 
 GIESEKING_FILTERED = [(1, 1, 1, 1, 0, 0, 0)]
@@ -303,30 +345,71 @@ def test_run_config_validation():
 
 
 def test_recover_examples():
-    r = recover(GIESEKING, from_indices([4, 5, 6], 7))
+    r = recover(GIESEKING, zero_set([4, 5, 6], 7))
     assert r.coords == (1, 1, 1, 1, 0, 0, 0)
-    r2 = recover(GIESEKING, from_indices([0, 1, 2, 3], 7))
+    r2 = recover(GIESEKING, zero_set([0, 1, 2, 3], 7))
     assert r2.coords == (0, 0, 0, 0, 1, 1, 1)
 
 
 def test_recover_errors():
     with pytest.raises(InternalError):
-        recover(GIESEKING, full_set(7))  # no nonzero coordinates left
+        recover(GIESEKING, zero_set(range(7), 7))  # no nonzero coordinates left
     with pytest.raises(InternalError):
-        recover(GIESEKING, from_indices([], 7))  # nullity 2, not a single ray
+        recover(GIESEKING, zero_set([], 7))  # nullity 2, not a single ray
+    with pytest.raises(InternalError):
+        recover(GIESEKING, zero_set([], 8))  # wrong dimension
     p = EnumerationProblem(dim=2, equations=((1, 1),), groups=())
     with pytest.raises(InternalError):
-        recover(p, from_indices([], 2))  # generator (1, -1) is mixed-sign
+        recover(p, zero_set([], 2))  # generator (1, -1) is mixed-sign
+    p = EnumerationProblem(dim=3, equations=((1, -1, 0),), groups=())
+    with pytest.raises(InternalError):
+        recover(p, zero_set([], 3))  # nullity 2 again, on other columns
 
 
 def test_vertex_bytes():
-    r = make_ray((1,) * 7)
-    assert vertex_bytes(r) == 8 + 7 * 8  # one mask word + seven 1-limb coords
-    big = Ray((2**100, 1, 0), zeroset_of((2**100, 1, 0)))
-    assert vertex_bytes(big) == 8 + (2 + 1 + 1) * 8
-    ri = RayInner({0: 1, 1: -1}, from_indices([0], 7))
-    assert vertex_bytes(ri) == 8 + 2 * 8
-    assert stage_bytes([r, ri]) == vertex_bytes(r) + vertex_bytes(ri)
+    assert vertex_bytes(vertex((1,) * 7), 7) == 8 + 7 * 8  # one mask word + seven 1-limb values
+    assert vertex_bytes(vertex((2**100, 1, 0)), 3) == 8 + (2 + 1 + 1) * 8
+    assert vertex_bytes(Vertex(1, [1, -1]), 7) == 8 + 2 * 8  # inner: two stored products
+    assert vertex_bytes(Vertex(0, []), 7) == 8  # inner after the last stage
+    # Limb boundaries on both sides of the fast path's range.
+    assert vertex_bytes(Vertex(0, [2**64 - 1, -(2**64 - 1)]), 7) == 8 + 2 * 8
+    assert vertex_bytes(Vertex(0, [2**64, 0]), 7) == 8 + 3 * 8
+    assert vertex_bytes(Vertex(0, [-(2**64), 0]), 7) == 8 + 3 * 8
+
+
+stored = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
+    st.integers(min_value=-(2**64) - 1, max_value=-(2**64) + 2),
+    st.integers(min_value=-(2**200), max_value=2**200),
+)
+
+
+@given(st.lists(stored, max_size=6), st.integers(min_value=1, max_value=200))
+def test_vertex_bytes_counts_every_limb(values, dim):
+    limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
+    assert vertex_bytes(Vertex(0, values), dim) == 8 * ((dim + 63) // 64 + limbs)
+
+
+LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri").read_text()))
+
+
+@pytest.mark.parametrize("representation,peak", [("inner", 41_208), ("full", 192_000)])
+def test_loop9_work_counters_are_pinned(representation, peak):
+    """Deterministic work counters on loop9 under the default configuration;
+    a change to any predicate or to the memory proxy moves one of them."""
+    audited = []
+    rays, stats = run(
+        LOOP9,
+        RunConfig(representation=representation),
+        pair_audit=lambda *a: audited.append(a[3]),
+    )
+    assert len(rays) == 77
+    assert sum(stats.pair_counts) == 44_656
+    assert (len(audited), sum(audited)) == (7_111, 2_518)
+    assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
+    assert stats.sep_trace[-1] == 44
+    assert stats.peak_mem_bytes == peak
 
 
 def test_run_empty_equations():

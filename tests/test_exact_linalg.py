@@ -10,7 +10,6 @@ from conedd.exact_linalg import (
     dot,
     gcd_normalize,
     nullspace_generator,
-    nullspace_ray,
     rank,
     unit_row,
     vector_gcd,
@@ -89,15 +88,6 @@ def test_nullspace_generator_scaling():
     gen = nullspace_generator([(2, -3)], 2)
     assert gen in ((3, 2), (-3, -2))
     assert gen == gcd_normalize(gen)
-
-
-def test_nullspace_ray():
-    assert nullspace_ray([(1, -1, 0), (0, 1, -1)]) == (1, 1, 1)
-    with pytest.raises(ValueError):
-        nullspace_ray([(1, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        # Nullspace spanned by (1, -1): no nonnegative representative.
-        nullspace_ray([(1, 1)])
 
 
 def _rank_fraction(rows):

@@ -3,7 +3,6 @@
 import pytest
 
 from conedd.cone_problem import parse_cone
-from conedd.dd_engine import init_vertices, make_ray
 from conedd.ordering import (
     OrderingStrategy,
     choose_dynamic,
@@ -86,22 +85,22 @@ def test_order_static_rejects_dynamic():
 
 
 def test_choose_dynamic_first_pick():
-    vertices = init_vertices(GIESEKING, "full")
-    k = choose_dynamic(set(range(5)), vertices, GIESEKING)
+    # Against the unit rays, the values of row k are the row's entries.
+    k = choose_dynamic(set(range(5)), lambda k: GIESEKING.equations[k])
     # Row 0 splits the unit rays 1 positive / 1 negative (product 1); the
     # other rows each split 2 x 2 or worse, so row 0 wins.
     assert k == 0
 
 
 def test_choose_dynamic_tie_breaks_low_index():
-    p = parse_cone("2 2\n1 -1\n-1 1\ngroups 0\n")
-    vertices = init_vertices(p, "full")
-    assert choose_dynamic({0, 1}, vertices, p) == 0
+    rows = {0: (1, -1), 1: (-1, 1)}
+    assert choose_dynamic({1, 0}, rows.__getitem__) == 0
 
 
 def test_choose_dynamic_prefers_no_negatives():
     # A hyperplane with an empty negative side has pair product 0 and is
     # processed immediately (it only discards or keeps, never combines).
-    p = parse_cone("3 2\n1 -1 0\n1 1 0\ngroups 0\n")
-    vertices = [make_ray((1, 0, 0)), make_ray((0, 1, 0)), make_ray((0, 0, 1))]
-    assert choose_dynamic({0, 1}, vertices, p) == 1
+    rows = {0: (1, -1, 0), 1: (1, 1, 0)}
+    assert choose_dynamic([0, 1], rows.__getitem__) == 1
+    with pytest.raises(ValueError):
+        choose_dynamic([], rows.__getitem__)

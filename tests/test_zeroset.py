@@ -4,43 +4,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conedd.dd_engine import Vertex, vertex_bytes
 from conedd.zeroset import (
     ZeroSet,
-    count,
-    from_indices,
-    full_set,
+    compatible,
     group_mask,
-    group_satisfied,
-    intersect,
-    is_superset,
+    group_needs,
+    zero_mask,
     zeroset_of,
 )
+
+
+def bits_of(indices):
+    return sum(1 << k for k in indices)
 
 
 def test_zeroset_of_example():
     z = zeroset_of((0, 3, 0, 0, 1, 0, 2))
     assert z.indices() == (0, 2, 3, 5)
-    assert count(z) == 4
+    assert z.bits == zero_mask((0, 3, 0, 0, 1, 0, 2)) == 0b101101
     assert 0 in z and 4 not in z
 
 
 def test_zeroset_of_all_zero():
     z = zeroset_of((0, 0, 0))
-    assert z == full_set(3)
-    assert count(z) == 3
-
-
-def test_from_indices_roundtrip():
-    z = from_indices([5, 1, 3], 7)
-    assert z.indices() == (1, 3, 5)
-    assert from_indices(z.indices(), 7) == z
-
-
-def test_from_indices_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        from_indices([7], 7)
-    with pytest.raises(ValueError):
-        from_indices([-1], 7)
+    assert z == ZeroSet(0b111, 3)
+    assert z.indices() == (0, 1, 2)
 
 
 def test_bits_validation():
@@ -50,24 +39,12 @@ def test_bits_validation():
         ZeroSet(bits=-1, dim=3)
 
 
-def test_intersect_requires_same_dim():
-    with pytest.raises(ValueError):
-        intersect(full_set(3), full_set(4))
-
-
-def test_intersect_and_superset():
-    a = from_indices([0, 1, 2, 4], 6)
-    b = from_indices([1, 2, 5], 6)
-    assert intersect(a, b).indices() == (1, 2)
-    assert is_superset(a, intersect(a, b))
-    assert not is_superset(b, a)
-    assert is_superset(a, a)
-
-
 def test_words_counts_64_bit_blocks():
-    assert full_set(7).words() == 1
-    assert full_set(64).words() == 1
-    assert from_indices([0, 64, 65], 130).words() == 3
+    """The memory proxy charges a mask by 64-bit words of the dimension."""
+    empty = Vertex(0, [])
+    assert vertex_bytes(empty, 7) == 8
+    assert vertex_bytes(empty, 64) == 8
+    assert vertex_bytes(Vertex(bits_of([0, 64, 65]), []), 130) == 3 * 8
 
 
 def test_group_mask():
@@ -76,17 +53,19 @@ def test_group_mask():
 
 
 def test_group_satisfied_examples():
-    groups = ((4, 5, 6),)
-    assert group_satisfied(from_indices([4, 5, 6], 7), groups)
-    assert group_satisfied(from_indices([4, 5], 7), groups)
-    assert not group_satisfied(from_indices([4], 7), groups)
-    assert not group_satisfied(from_indices([0, 1, 2, 3], 7), groups)
+    needs = group_needs(((4, 5, 6),))
+    assert needs == [(0b1110000, 2)]
+    assert compatible(bits_of([4, 5, 6]), needs)
+    assert compatible(bits_of([4, 5]), needs)
+    assert not compatible(bits_of([4]), needs)
+    assert not compatible(bits_of([0, 1, 2, 3]), needs)
 
 
 def test_group_satisfied_multiple_groups():
-    groups = ((0, 1, 2), (3, 4, 5))
-    assert group_satisfied(from_indices([0, 1, 3, 4], 6), groups)
-    assert not group_satisfied(from_indices([0, 1, 3], 6), groups)
+    needs = group_needs(((0, 1, 2), (3, 4, 5)))
+    assert compatible(bits_of([0, 1, 3, 4]), needs)
+    assert not compatible(bits_of([0, 1, 3]), needs)
+    assert compatible(0, group_needs(()))
 
 
 coords = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40)
@@ -95,6 +74,7 @@ coords = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=4
 @given(coords)
 def test_zeroset_matches_definition(v):
     z = zeroset_of(tuple(v))
+    assert z.bits == zero_mask(v)
     for i, x in enumerate(v):
         assert (i in z) == (x == 0)
 
@@ -108,13 +88,4 @@ def test_intersection_is_zero_set_of_positive_combination(v, data):
     a = data.draw(st.integers(min_value=1, max_value=9))
     b = data.draw(st.integers(min_value=1, max_value=9))
     combined = tuple(a * x + b * y for x, y in zip(u, w))
-    assert zeroset_of(combined) == intersect(zeroset_of(u), zeroset_of(w))
-
-
-@given(coords, coords)
-def test_superset_agrees_with_indices(u, w):
-    n = max(len(u), len(w))
-    u = tuple(u) + (0,) * (n - len(u))
-    w = tuple(w) + (0,) * (n - len(w))
-    a, b = zeroset_of(u), zeroset_of(w)
-    assert is_superset(a, b) == set(a.indices()).issuperset(b.indices())
+    assert zero_mask(combined) == zero_mask(u) & zero_mask(w)
