@@ -19,6 +19,16 @@ combinatorial adjacency test read only the masks.  At the end, `full`
 vertices already hold their coordinates and `inner` ones are resolved by
 `recover` from their zero sets.  `Ray` is the output type.
 
+The pair loop of a step runs on two indexes over vertex positions, built for
+the stage and dropped with it; both are plain ints used as bitsets.
+`partner_index` gives each vertex of S_+ the bitset of its compatible
+partners in S_-, so incompatible pairs are never generated, and the walk over
+its set bits keeps the order of a plain double loop.  `witness_index` splits
+the zero sets of V_{i-1} into 8-bit chunks and answers the combinatorial
+adjacency test by intersecting, chunk by chunk, the positions whose zero set
+could contain Z(u) & Z(w).  `RunStats.compatible_counts` records the
+compatible pairs of each stage; `pair_counts` stays |S_+| * |S_-|.
+
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.
 """
@@ -30,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
-from .errors import InternalError
+from .errors import InternalError, LimitError
 from .exact_linalg import IntVector, dot, nullspace_generator, rank, unit_row, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
 from .zeroset import ZeroSet, compatible, group_needs, zero_mask
@@ -83,6 +93,7 @@ class RunConfig:
 class RunStats:
     sizes: list[int] = field(default_factory=list)
     pair_counts: list[int] = field(default_factory=list)
+    compatible_counts: list[int] = field(default_factory=list)
     sep_trace: list[int] = field(default_factory=list)
     mem_trace: list[int] = field(default_factory=list)
     order: tuple[int, ...] = ()
@@ -179,17 +190,113 @@ def prefilter_pass(zero_count: int, processed_count: int, sep_before: int, mode:
     raise ValueError(f"unknown prefilter mode: {mode!r}")
 
 
-def adjacent_combinatorial(u_mask: int, w_mask: int, masks: Sequence[int]) -> bool:
-    """No third vertex's zero set contains Z(u) & Z(w).
+def _bits(x: int) -> list[int]:
+    """The set bits of a non-negative int, as single-bit ints, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low)
+        x ^= low
+    return out
 
-    Zero sets equal to Z(u) or Z(w) are skipped, so duplicates of the pair
-    itself are never witnesses.
+
+def partner_index(neg_masks: Sequence[int], needs: Sequence[tuple[int, int]]) -> Callable[[int], int]:
+    """Compatible partners of a vertex among S_-, as a bitset over positions.
+
+    Returns `partners(u_mask)`, whose bit i is set iff
+    `compatible(u_mask & neg_masks[i], needs)`, for `needs` of disjoint
+    groups.  A vertex incompatible on its own has no partners.  Otherwise u
+    and w are compatible iff w is compatible on its own and, for each group
+    coordinate j where u is non-zero, w is zero on all of j's group or
+    non-zero at j itself: `keep[j]` below, the good vertices of S_- minus
+    those non-zero at another member of j's group.  With no `needs`
+    (filtering off) every vertex of S_- is a partner.
     """
-    inter = u_mask & w_mask
-    for z in masks:
-        if z & inter == inter and z != u_mask and z != w_mask:
-            return False
-    return True
+    everything = (1 << len(neg_masks)) - 1
+    group_bits = 0
+    for members, _ in needs:
+        group_bits |= members
+    bad = 0
+    nonzero: dict[int, int] = {}  # coordinate bit -> S_- positions non-zero there
+    for i, mask in enumerate(neg_masks):
+        bit = 1 << i
+        if not compatible(mask, needs):
+            bad |= bit
+            continue
+        for low in _bits(~mask & group_bits):
+            nonzero[low] = nonzero.get(low, 0) | bit
+    good = everything & ~bad
+    keep: dict[int, int] = {}  # coordinate bit -> S_- positions that may pair there
+    for members, _ in needs:
+        lows = _bits(members)
+        zero_on_group = good
+        for low in lows:
+            zero_on_group &= ~nonzero.get(low, 0)
+        for low in lows:
+            keep[low] = zero_on_group | nonzero.get(low, 0)
+
+    def partners(u_mask: int) -> int:
+        if not compatible(u_mask, needs):
+            return 0
+        out = good
+        x = ~u_mask & group_bits
+        while x:
+            low = x & -x
+            out &= keep[low]
+            x ^= low
+        return out
+
+    return partners
+
+
+def witness_index(masks: Sequence[int]) -> Callable[[int, int], bool]:
+    """Combinatorial adjacency test over the zero sets of V_{i-1}.
+
+    Returns `adjacent(u_mask, w_mask)` for two masks of the index: true iff
+    no vertex whose zero set differs from Z(u) and Z(w) has a zero set
+    containing Z(u) & Z(w).  Duplicates of the pair are never witnesses.
+
+    Masks are split into 8-bit chunks, and each chunk value maps to the
+    bitset of positions that have it.  A query starts from every position
+    and, for each non-zero chunk of Z(u) & Z(w), keeps the positions whose
+    chunk contains it; the union of those buckets is memoised per (chunk,
+    key).  What is left are Z(u), Z(w) and their copies, which are skipped,
+    and the witnesses.
+    """
+    everything = (1 << len(masks)) - 1
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    buckets: list[dict[int, int]] = [{} for _ in range(width)]
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for bucket, value in zip(buckets, mask.to_bytes(width, "little")):
+            bucket[value] = bucket.get(value, 0) | bit
+    # memo[chunk << 8 | key]: the positions whose chunk contains key.
+    memo: list[Optional[int]] = [None] * (width << 8)
+    slots = range(0, width << 8, 256)
+
+    def adjacent(u_mask: int, w_mask: int) -> bool:
+        cand = everything
+        for slot, key in zip(slots, (u_mask & w_mask).to_bytes(width, "little")):
+            if key:
+                slot |= key
+                sup = memo[slot]
+                if sup is None:
+                    sup = 0
+                    for value, bits in buckets[slot >> 8].items():
+                        if value & key == key:
+                            sup |= bits
+                    memo[slot] = sup
+                cand &= sup
+        # Left: Z(u), Z(w), their copies, and the witnesses if any.
+        while cand:
+            low = cand & -cand
+            z = masks[low.bit_length() - 1]
+            if z != u_mask and z != w_mask:
+                return False
+            cand ^= low
+        return True
+
+    return adjacent
 
 
 def adjacent_algebraic(
@@ -231,7 +338,9 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     The new vertex list is S_0 (with the processed product dropped under the
     inner representation) plus the combinations of compatible, prefiltered,
-    adjacent pairs from S_+ x S_-.  `sep` grows by one exactly when both
+    adjacent pairs from S_+ x S_-.  Pairs are drawn from `partner_index`, so
+    incompatible ones are never generated, and tested with `witness_index`
+    (or the rank test under `alg`).  `sep` grows by one exactly when both
     sides are non-empty.
     """
     problem, cfg = state.problem, state.config
@@ -257,32 +366,38 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         else:
             s_neg.append((v, t))
 
-    filtering = cfg.filtering
-    needs = group_needs(problem.groups)
-    mode = cfg.dim_prefilter
-    comb_adjacency = cfg.adjacency == "comb"
-    masks = [v.mask for v in vertices]
-    for u, a in s_pos:
-        u_mask = u.mask
-        for w, b in s_neg:
-            inter = u_mask & w.mask
-            if filtering and not compatible(inter, needs):
-                continue
-            zero_count = inter.bit_count()
-            if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
-                continue
-            if comb_adjacency:
-                adjacent = adjacent_combinatorial(u_mask, w.mask, masks)
-            else:
-                adjacent = adjacent_algebraic(u_mask, w.mask, problem, state.processed)
-            if pair_audit is not None:
-                pair_audit(processed_count, sep_before, zero_count, adjacent)
-            if adjacent:
-                new_vertices.append(combine(u, w, a, b, drop))
+    compatible_count = 0
+    if s_pos and s_neg:
+        partners_of = partner_index(
+            [w.mask for w, _ in s_neg], group_needs(problem.groups) if cfg.filtering else []
+        )
+        if cfg.adjacency == "comb":
+            adjacent_of = witness_index([v.mask for v in vertices])
+        else:
+            def adjacent_of(u_mask: int, w_mask: int) -> bool:
+                return adjacent_algebraic(u_mask, w_mask, problem, state.processed)
+        mode = cfg.dim_prefilter
+        for u, a in s_pos:
+            u_mask = u.mask
+            partners = partners_of(u_mask)
+            compatible_count += partners.bit_count()
+            while partners:  # ascending S_- positions, as in a plain double loop
+                low = partners & -partners
+                partners ^= low
+                w, b = s_neg[low.bit_length() - 1]
+                zero_count = (u_mask & w.mask).bit_count()
+                if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
+                    continue
+                adjacent = adjacent_of(u_mask, w.mask)
+                if pair_audit is not None:
+                    pair_audit(processed_count, sep_before, zero_count, adjacent)
+                if adjacent:
+                    new_vertices.append(combine(u, w, a, b, drop))
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     stats = state.stats
     stats.pair_counts.append(len(s_pos) * len(s_neg))
+    stats.compatible_counts.append(compatible_count)
     stats.sep_trace.append(sep)
     stats.record(new_vertices, d)
     remaining = state.remaining[:position] + state.remaining[position + 1:]
@@ -339,22 +454,29 @@ def run(
     stats.record(vertices, d)
     state = EngineState(problem, config, vertices, [], list(range(len(problem.equations))), 0, stats)
 
-    if config.ordering.kind == "dynamic":
-        while state.remaining:
-            k = choose_dynamic(state.remaining, lambda j: hyperplane_values(state, j))
-            state = step(state, k, pair_audit=pair_audit)
-            if stage_hook is not None:
-                stage_hook(state)
-    else:
-        for k in order_static(problem, config.ordering):
-            state = step(state, k, pair_audit=pair_audit)
-            if stage_hook is not None:
-                stage_hook(state)
+    # Config and problem are validated by now: a ValueError from here on is
+    # a broken invariant (say, a zero nullspace generator), not bad input.
+    try:
+        if config.ordering.kind == "dynamic":
+            while state.remaining:
+                k = choose_dynamic(state.remaining, lambda j: hyperplane_values(state, j))
+                state = step(state, k, pair_audit=pair_audit)
+                if stage_hook is not None:
+                    stage_hook(state)
+        else:
+            for k in order_static(problem, config.ordering):
+                state = step(state, k, pair_audit=pair_audit)
+                if stage_hook is not None:
+                    stage_hook(state)
 
-    if config.representation == "inner":
-        finals = [recover(problem, ZeroSet(v.mask, d)) for v in state.vertices]
-    else:
-        finals = [Ray(tuple(v.values), ZeroSet(v.mask, d)) for v in state.vertices]
+        if config.representation == "inner":
+            finals = [recover(problem, ZeroSet(v.mask, d)) for v in state.vertices]
+        else:
+            finals = [Ray(tuple(v.values), ZeroSet(v.mask, d)) for v in state.vertices]
+    except LimitError:
+        raise
+    except ValueError as exc:
+        raise InternalError(f"invariant failed during the run: {exc}") from exc
     unique: dict[IntVector, Ray] = {}
     for r in finals:
         unique[r.coords] = r

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import conedd.cli as cli
+from conedd import dd_engine
 from conedd.cli import BENCH_COLUMNS, main
 from conedd.cone_problem import parse_cone, parse_rays
 from conedd.errors import InternalError
+from conedd.exact_linalg import gcd_normalize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GIESEKING = str(FIXTURES / "gieseking.cone")
@@ -230,6 +232,19 @@ def test_internal_error_exit_2(monkeypatch):
 
     monkeypatch.setattr(cli, "run", boom)
     assert main(["enumerate", "--input", GIESEKING]) == 2
+
+
+def test_value_error_inside_the_run_exits_2(monkeypatch, capsys):
+    """A ValueError raised by the engine after the input was accepted is a
+    broken invariant, not an input error."""
+
+    def zero_generator(rows, ncols):
+        return gcd_normalize([0] * ncols)  # raises ValueError
+
+    monkeypatch.setattr(dd_engine, "nullspace_generator", zero_generator)
+    assert main(["enumerate", "--tri", "--input", str(FIXTURES / "s2xs1.tri")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "cannot normalize the zero vector" in err
 
 
 def test_enumerate_deterministic(tmp_path):

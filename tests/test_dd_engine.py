@@ -14,15 +14,16 @@ from conedd.dd_engine import (
     RunStats,
     Vertex,
     adjacent_algebraic,
-    adjacent_combinatorial,
     combine,
     hyperplane_values,
     init_vertices,
+    partner_index,
     prefilter_pass,
     recover,
     run,
     step,
     vertex_bytes,
+    witness_index,
 )
 from conedd.errors import InternalError
 from conedd.exact_linalg import dot
@@ -47,9 +48,9 @@ def zero_set(indices, dim):
     return ZeroSet(sum(1 << j for j in indices), dim)
 
 
-def initial_state(problem, representation):
+def initial_state(problem, representation, **options):
     """V_0 as `run` builds it, before any hyperplane is processed."""
-    config = RunConfig(representation=representation)
+    config = RunConfig(representation=representation, **options)
     vertices = init_vertices(problem, representation)
     g = len(problem.equations)
     return EngineState(problem, config, vertices, [], list(range(g)), 0, RunStats())
@@ -137,23 +138,132 @@ def test_adjacent_combinatorial_unit_rays():
     masks = [v.mask for v in init_vertices(GIESEKING, "full")]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
-    assert adjacent_combinatorial(masks[5], masks[6], masks)
+    assert witness_index(masks)(masks[5], masks[6])
 
 
 def test_adjacent_combinatorial_witness():
     u = zero_mask((1, 0, 1, 0))
     w = zero_mask((0, 1, 0, 1))
     z = zero_mask((1, 1, 1, 1))
-    assert adjacent_combinatorial(u, w, [u, w])
+    assert witness_index([u, w])(u, w)
     # z's zero set (empty) contains Z(u) & Z(w) (also empty): witness found.
-    assert not adjacent_combinatorial(u, w, [u, w, z])
+    assert not witness_index([u, w, z])(u, w)
 
 
 def test_adjacent_combinatorial_skips_duplicates_of_pair():
     u = zero_mask((1, 0, 0))
     w = zero_mask((0, 1, 0))
     # A duplicate of u in the list must not count as a witness.
-    assert adjacent_combinatorial(u, w, [u, w, zero_mask((2, 0, 0))])
+    assert witness_index([u, w, zero_mask((2, 0, 0))])(u, w)
+
+
+def brute_adjacent(u, w, masks):
+    """The linear witness scan: no third zero set contains Z(u) & Z(w)."""
+    inter = u & w
+    return not any(z & inter == inter and z != u and z != w for z in masks)
+
+
+def bits_at(bitset, count):
+    return [i for i in range(count) if bitset >> i & 1]
+
+
+@st.composite
+def witness_masks(draw, dim):
+    """Zero sets over `dim` coordinates built as unions of a few random
+    atoms, so that containment (and with it witnesses) is common, plus exact
+    duplicates of earlier masks."""
+    full = (1 << dim) - 1
+    atoms = draw(st.lists(st.integers(0, full), min_size=1, max_size=5))
+    masks = []
+    for _ in range(draw(st.integers(2, 14))):
+        if masks and draw(st.integers(0, 4)) == 0:
+            masks.append(draw(st.sampled_from(masks)))
+            continue
+        mask = 0
+        for atom in atoms:
+            if draw(st.booleans()):
+                mask |= atom
+        masks.append(mask)
+    return masks
+
+
+DIMS = (3, 8, 13, 64, 71, 84, 130)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_witness_index_matches_the_linear_scan(dim, data):
+    masks = data.draw(witness_masks(dim))
+    adjacent = witness_index(masks)
+    for u in masks:
+        for w in masks:
+            assert adjacent(u, w) == brute_adjacent(u, w, masks), (u, w)
+
+
+def test_witness_index_ignores_duplicates_of_the_pair():
+    u, w = 0b0110, 0b1100
+    # Copies of Z(u) and Z(w) contain Z(u) & Z(w) but are never witnesses.
+    adjacent = witness_index([u, w, u, w, w])
+    assert adjacent(u, w)
+    assert not witness_index([u, w, u, 0b0100])(u, w)
+
+
+@st.composite
+def grouped(draw, dim):
+    """Disjoint groups of 1-4 coordinates, and zero sets that mostly have at
+    most one non-zero per group but are sometimes incompatible on their own."""
+    coords = draw(st.permutations(range(dim)))
+    groups, at = [], 0
+    while at < dim and draw(st.integers(0, 5)) > 0:
+        size = draw(st.integers(1, 4))
+        groups.append(sorted(coords[at:at + size]))
+        at += size
+
+    def masks(max_size):
+        out = []
+        for _ in range(draw(st.integers(0, max_size))):
+            mask = draw(st.integers(0, (1 << dim) - 1))
+            for group in groups:
+                if draw(st.integers(0, 5)) == 0:
+                    continue  # leave the group's random bits as drawn
+                for j in group:
+                    mask |= 1 << j
+                keep = draw(st.sampled_from([None, *group]))
+                if keep is not None:
+                    mask &= ~(1 << keep)
+            out.append(mask)
+        return out
+
+    return groups, masks(8), masks(8)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_partner_index_matches_compatible(dim, data):
+    groups, s_pos, s_neg = data.draw(grouped(dim))
+    needs = group_needs(groups)
+    partners_of = partner_index(s_neg, needs)
+    for u in s_pos + s_neg:
+        want = [i for i, w in enumerate(s_neg) if compatible(u & w, needs)]
+        assert bits_at(partners_of(u), len(s_neg)) == want
+    # With filtering off every vertex of S_- is a partner.
+    unfiltered = partner_index(s_neg, [])
+    for u in s_pos:
+        assert bits_at(unfiltered(u), len(s_neg)) == list(range(len(s_neg)))
+
+
+def test_partner_index_edge_cases():
+    needs = group_needs([(0, 1, 2), (3,)])
+    clean, other, bad = 0b1110, 0b1101, 0b1100  # non-zero at 0 / at 1 / at 0 and 1
+    assert partner_index([], needs)(clean) == 0  # empty S_-
+    partners_of = partner_index([clean, other, bad, clean], needs)
+    assert partners_of(clean) == 0b1001  # `other` and the bad vertex are out
+    assert partners_of(bad) == 0  # incompatible on its own
+    assert partners_of(0b1111) == 0b1011  # all zero: everything but the bad vertex
+    # A group of one coordinate never rejects anything.
+    assert partner_index([0b0111], needs)(0b0111) == 1
 
 
 def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
@@ -163,9 +273,10 @@ def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
     s_pos = [m for m, t in zip(masks, values) if t > 0]
     s_neg = [m for m, t in zip(masks, values) if t < 0]
     assert s_pos and s_neg
+    adjacent = witness_index(masks)
     for u in s_pos:
         for w in s_neg:
-            assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent_combinatorial(u, w, masks)
+            assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent(u, w)
 
 
 def test_combine_full():
@@ -392,6 +503,7 @@ def test_vertex_bytes_counts_every_limb(values, dim):
 
 
 LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri").read_text()))
+LOOP12 = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri").read_text()))
 
 
 @pytest.mark.parametrize("representation,peak", [("inner", 41_208), ("full", 192_000)])
@@ -406,10 +518,50 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     )
     assert len(rays) == 77
     assert sum(stats.pair_counts) == 44_656
+    # Compatible pairs: the ones the prefilter sees.  The rest of the
+    # 44,656 are never generated; 1,582 fail the prefilter.
+    assert sum(stats.compatible_counts) == 8_693
     assert (len(audited), sum(audited)) == (7_111, 2_518)
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
     assert stats.sep_trace[-1] == 44
     assert stats.peak_mem_bytes == peak
+
+
+def test_loop12_pair_split_is_pinned():
+    """The loop12 pairs by fate: 777,310 in S_+ x S_-, 85,622 compatible,
+    12,256 of those rejected by the prefilter, 73,366 tested for adjacency
+    and 11,103 adjacent."""
+    audited = []
+    rays, stats = run(LOOP12, pair_audit=lambda *a: audited.append(a[3]))
+    assert len(rays) == 323
+    assert sum(stats.pair_counts) == 777_310
+    assert sum(stats.compatible_counts) == 85_622
+    assert sum(stats.compatible_counts) - len(audited) == 12_256
+    assert (len(audited), sum(audited)) == (73_366, 11_103)
+    assert stats.max_vertex_count == 1_585
+
+
+def test_compatible_counts_equal_a_brute_force_count():
+    """Per stage, the partner bitsets hold exactly the compatible pairs, and
+    with filtering off every pair of S_+ x S_- is a partner."""
+    problem = standard_matching_equations(
+        parse_triangulation((FIXTURES / "s2xs1.tri").read_text())
+    )
+    needs = group_needs(problem.groups)
+    for filtering in (True, False):
+        want = []
+        state = initial_state(problem, "inner", filtering=filtering)
+        for k in range(len(problem.equations)):
+            values = hyperplane_values(state, k)
+            pos = [v.mask for v, t in zip(state.vertices, values) if t > 0]
+            neg = [v.mask for v, t in zip(state.vertices, values) if t < 0]
+            want.append(
+                sum(1 for u in pos for w in neg if not filtering or compatible(u & w, needs))
+            )
+            state = step(state, k)
+        assert state.stats.compatible_counts == want
+        if not filtering:
+            assert want == state.stats.pair_counts
 
 
 def test_run_empty_equations():
