@@ -19,15 +19,12 @@ combinatorial adjacency test read only the masks.  At the end, `full`
 vertices already hold their coordinates and `inner` ones are resolved by
 `recover` from their zero sets.  `Ray` is the output type.
 
-The pair loop of a step runs on two indexes over vertex positions, built for
-the stage and dropped with it; both are plain ints used as bitsets.
-`partner_index` gives each vertex of S_+ the bitset of its compatible
-partners in S_-, so incompatible pairs are never generated, and the walk over
-its set bits keeps the order of a plain double loop.  `witness_index` splits
-the zero sets of V_{i-1} into 8-bit chunks and answers the combinatorial
-adjacency test by intersecting, chunk by chunk, the positions whose zero set
-could contain Z(u) & Z(w).  `RunStats.compatible_counts` records the
-compatible pairs of each stage; `pair_counts` stays |S_+| * |S_-|.
+The pair loop of a step asks one index, built for the stage over the zero
+sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
+set contains a key, and both pair filters, the group filter and the
+combinatorial adjacency test, are that query (see `step`).
+`RunStats.compatible_counts` records the compatible pairs of each stage;
+`pair_counts` stays |S_+| * |S_-|.
 
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.
@@ -43,7 +40,7 @@ from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
 from .exact_linalg import IntVector, dot, nullspace_generator, rank, unit_row, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
-from .zeroset import ZeroSet, compatible, group_needs, zero_mask
+from .zeroset import ZeroSet, group_mask, zero_mask
 
 ADJACENCY_MODES = ("comb", "alg")
 REPRESENTATIONS = ("full", "inner")
@@ -133,6 +130,10 @@ class EngineState:
 PairAudit = Callable[[int, int, int, bool], None]
 
 _ONE_LIMB = 1 << 64
+# Partner bitsets span V_{i-1}; they are walked 30 bits at a time, so that
+# the bit tricks run on one-digit ints (CPython's digit is 30 bits).
+_CHUNK_BITS = 30
+_CHUNK = (1 << _CHUNK_BITS) - 1
 
 
 def vertex_bytes(v: Vertex, dim: int) -> int:
@@ -190,78 +191,18 @@ def prefilter_pass(zero_count: int, processed_count: int, sep_before: int, mode:
     raise ValueError(f"unknown prefilter mode: {mode!r}")
 
 
-def _bits(x: int) -> list[int]:
-    """The set bits of a non-negative int, as single-bit ints, lowest first."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low)
-        x ^= low
-    return out
+def zero_index(masks: Sequence[int]) -> Callable[[int], int]:
+    """Subset index over the zero sets of V_{i-1}.
 
-
-def partner_index(neg_masks: Sequence[int], needs: Sequence[tuple[int, int]]) -> Callable[[int], int]:
-    """Compatible partners of a vertex among S_-, as a bitset over positions.
-
-    Returns `partners(u_mask)`, whose bit i is set iff
-    `compatible(u_mask & neg_masks[i], needs)`, for `needs` of disjoint
-    groups.  A vertex incompatible on its own has no partners.  Otherwise u
-    and w are compatible iff w is compatible on its own and, for each group
-    coordinate j where u is non-zero, w is zero on all of j's group or
-    non-zero at j itself: `keep[j]` below, the good vertices of S_- minus
-    those non-zero at another member of j's group.  With no `needs`
-    (filtering off) every vertex of S_- is a partner.
-    """
-    everything = (1 << len(neg_masks)) - 1
-    group_bits = 0
-    for members, _ in needs:
-        group_bits |= members
-    bad = 0
-    nonzero: dict[int, int] = {}  # coordinate bit -> S_- positions non-zero there
-    for i, mask in enumerate(neg_masks):
-        bit = 1 << i
-        if not compatible(mask, needs):
-            bad |= bit
-            continue
-        for low in _bits(~mask & group_bits):
-            nonzero[low] = nonzero.get(low, 0) | bit
-    good = everything & ~bad
-    keep: dict[int, int] = {}  # coordinate bit -> S_- positions that may pair there
-    for members, _ in needs:
-        lows = _bits(members)
-        zero_on_group = good
-        for low in lows:
-            zero_on_group &= ~nonzero.get(low, 0)
-        for low in lows:
-            keep[low] = zero_on_group | nonzero.get(low, 0)
-
-    def partners(u_mask: int) -> int:
-        if not compatible(u_mask, needs):
-            return 0
-        out = good
-        x = ~u_mask & group_bits
-        while x:
-            low = x & -x
-            out &= keep[low]
-            x ^= low
-        return out
-
-    return partners
-
-
-def witness_index(masks: Sequence[int]) -> Callable[[int, int], bool]:
-    """Combinatorial adjacency test over the zero sets of V_{i-1}.
-
-    Returns `adjacent(u_mask, w_mask)` for two masks of the index: true iff
-    no vertex whose zero set differs from Z(u) and Z(w) has a zero set
-    containing Z(u) & Z(w).  Duplicates of the pair are never witnesses.
+    Returns `containing(key)`: the bitset of the positions i with
+    `masks[i] & key == key`.  A key with a bit above every mask is contained
+    in no mask, and key 0 in every one.
 
     Masks are split into 8-bit chunks, and each chunk value maps to the
     bitset of positions that have it.  A query starts from every position
-    and, for each non-zero chunk of Z(u) & Z(w), keeps the positions whose
-    chunk contains it; the union of those buckets is memoised per (chunk,
-    key).  What is left are Z(u), Z(w) and their copies, which are skipped,
-    and the witnesses.
+    and, for each non-zero chunk of the key, keeps the positions whose chunk
+    contains it; the union of those buckets is memoised per (chunk, key), so
+    the group filter and the adjacency test share the misses of a stage.
     """
     everything = (1 << len(masks)) - 1
     width = (max(masks, default=0).bit_length() + 7) // 8
@@ -273,30 +214,78 @@ def witness_index(masks: Sequence[int]) -> Callable[[int, int], bool]:
     # memo[chunk << 8 | key]: the positions whose chunk contains key.
     memo: list[Optional[int]] = [None] * (width << 8)
     slots = range(0, width << 8, 256)
+    top = width << 3
 
-    def adjacent(u_mask: int, w_mask: int) -> bool:
+    def containing(key: int) -> int:
+        if key >> top:
+            return 0
         cand = everything
-        for slot, key in zip(slots, (u_mask & w_mask).to_bytes(width, "little")):
-            if key:
-                slot |= key
+        for slot, byte in zip(slots, key.to_bytes(width, "little")):
+            if byte:
+                slot |= byte
                 sup = memo[slot]
                 if sup is None:
                     sup = 0
                     for value, bits in buckets[slot >> 8].items():
-                        if value & key == key:
+                        if value & byte == byte:
                             sup |= bits
                     memo[slot] = sup
                 cand &= sup
-        # Left: Z(u), Z(w), their copies, and the witnesses if any.
-        while cand:
-            low = cand & -cand
-            z = masks[low.bit_length() - 1]
-            if z != u_mask and z != w_mask:
-                return False
-            cand ^= low
-        return True
+        return cand
 
-    return adjacent
+    return containing
+
+
+def group_partners(
+    containing: Callable[[int], int], candidates: int, groups: Sequence[Sequence[int]]
+) -> Callable[[int], int]:
+    """The group filter: compatible partners of a vertex among `candidates`,
+    a bitset of positions of the index behind `containing`.
+
+    Returns `partners(u_mask)`, the candidates w with `compatible(u_mask &
+    w_mask)`, given that u and every candidate are compatible on their own.
+    Then each group holds at most one non-zero of u and one of w, so the pair
+    is compatible iff, for each group coordinate j where u is non-zero, w is
+    zero on the rest of j's group: w is in `containing(G_j - {j})`.  These
+    sets are memoised per j.  With no groups every candidate is a partner.
+    """
+    rest: dict[int, int] = {}  # coordinate bit -> the other members of its group
+    for group in groups:
+        members = group_mask(group)
+        for j in group:
+            rest[1 << j] = members ^ (1 << j)
+    group_bits = sum(rest)  # the keys are distinct single bits
+    keep: dict[int, int] = {}  # coordinate bit -> positions zero on the rest of its group
+
+    def partners(u_mask: int) -> int:
+        out = candidates
+        x = ~u_mask & group_bits
+        while x:
+            low = x & -x
+            x ^= low
+            sub = keep.get(low)
+            if sub is None:
+                sub = keep[low] = containing(rest[low])
+            out &= sub
+        return out
+
+    return partners
+
+
+def adjacent_combinatorial(
+    u_mask: int, w_mask: int, masks: Sequence[int], containing: Callable[[int], int]
+) -> bool:
+    """Combinatorial adjacency test over the zero sets of V_{i-1}: true iff
+    every position whose zero set contains Z(u) & Z(w) holds a copy of Z(u)
+    or Z(w).  `containing` is the `zero_index` of `masks`."""
+    cand = containing(u_mask & w_mask)
+    while cand:
+        low = cand & -cand
+        z = masks[low.bit_length() - 1]
+        if z != u_mask and z != w_mask:
+            return False
+        cand ^= low
+    return True
 
 
 def adjacent_algebraic(
@@ -338,10 +327,15 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     The new vertex list is S_0 (with the processed product dropped under the
     inner representation) plus the combinations of compatible, prefiltered,
-    adjacent pairs from S_+ x S_-.  Pairs are drawn from `partner_index`, so
-    incompatible ones are never generated, and tested with `witness_index`
-    (or the rank test under `alg`).  `sep` grows by one exactly when both
-    sides are non-empty.
+    adjacent pairs from S_+ x S_-, taken in ascending S_- position as in a
+    plain double loop.  S_- is a bitset of V_{i-1} positions, and one
+    `zero_index` over V_{i-1} serves both the group filter (`group_partners`)
+    and the adjacency test (`adjacent_combinatorial`; the rank test under
+    `alg`).  `sep` grows by one exactly when both sides are non-empty.
+
+    The group filter relies on every vertex being compatible on its own.
+    With filtering on this always holds: the unit rays have one non-zero
+    each, S_0 carries over, and only compatible pairs are combined.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
@@ -354,8 +348,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     new_vertices: list[Vertex] = []
     s_pos: list[tuple[Vertex, int]] = []
-    s_neg: list[tuple[Vertex, int]] = []
-    for v, t in zip(vertices, values):
+    s_neg = 0  # bitset of V_{i-1} positions
+    for i, (v, t) in enumerate(zip(vertices, values)):
         if t == 0:
             if drop is None:
                 new_vertices.append(v)
@@ -364,39 +358,44 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         elif t > 0:
             s_pos.append((v, t))
         else:
-            s_neg.append((v, t))
+            s_neg |= 1 << i
 
     compatible_count = 0
     if s_pos and s_neg:
-        partners_of = partner_index(
-            [w.mask for w, _ in s_neg], group_needs(problem.groups) if cfg.filtering else []
-        )
-        if cfg.adjacency == "comb":
-            adjacent_of = witness_index([v.mask for v in vertices])
-        else:
-            def adjacent_of(u_mask: int, w_mask: int) -> bool:
-                return adjacent_algebraic(u_mask, w_mask, problem, state.processed)
+        masks = [v.mask for v in vertices]
+        containing = zero_index(masks)
+        partners_of = group_partners(containing, s_neg, problem.groups if cfg.filtering else ())
+        comb = cfg.adjacency == "comb"
         mode = cfg.dim_prefilter
         for u, a in s_pos:
             u_mask = u.mask
             partners = partners_of(u_mask)
             compatible_count += partners.bit_count()
-            while partners:  # ascending S_- positions, as in a plain double loop
-                low = partners & -partners
-                partners ^= low
-                w, b = s_neg[low.bit_length() - 1]
-                zero_count = (u_mask & w.mask).bit_count()
-                if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
-                    continue
-                adjacent = adjacent_of(u_mask, w.mask)
-                if pair_audit is not None:
-                    pair_audit(processed_count, sep_before, zero_count, adjacent)
-                if adjacent:
-                    new_vertices.append(combine(u, w, a, b, drop))
+            base = -1
+            while partners:  # ascending positions, one chunk at a time
+                chunk = partners & _CHUNK
+                partners >>= _CHUNK_BITS
+                while chunk:
+                    low = chunk & -chunk
+                    chunk ^= low
+                    i = base + low.bit_length()
+                    w_mask = masks[i]
+                    zero_count = (u_mask & w_mask).bit_count()
+                    if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
+                        continue
+                    if comb:
+                        adjacent = adjacent_combinatorial(u_mask, w_mask, masks, containing)
+                    else:
+                        adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed)
+                    if pair_audit is not None:
+                        pair_audit(processed_count, sep_before, zero_count, adjacent)
+                    if adjacent:
+                        new_vertices.append(combine(u, vertices[i], a, values[i], drop))
+                base += _CHUNK_BITS
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     stats = state.stats
-    stats.pair_counts.append(len(s_pos) * len(s_neg))
+    stats.pair_counts.append(len(s_pos) * s_neg.bit_count())
     stats.compatible_counts.append(compatible_count)
     stats.sep_trace.append(sep)
     stats.record(new_vertices, d)
@@ -457,17 +456,15 @@ def run(
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a zero nullspace generator), not bad input.
     try:
-        if config.ordering.kind == "dynamic":
-            while state.remaining:
+        order = None if config.ordering.kind == "dynamic" else iter(order_static(problem, config.ordering))
+        while state.remaining:
+            if order is None:
                 k = choose_dynamic(state.remaining, lambda j: hyperplane_values(state, j))
-                state = step(state, k, pair_audit=pair_audit)
-                if stage_hook is not None:
-                    stage_hook(state)
-        else:
-            for k in order_static(problem, config.ordering):
-                state = step(state, k, pair_audit=pair_audit)
-                if stage_hook is not None:
-                    stage_hook(state)
+            else:
+                k = next(order)
+            state = step(state, k, pair_audit=pair_audit)
+            if stage_hook is not None:
+                stage_hook(state)
 
         if config.representation == "inner":
             finals = [recover(problem, ZeroSet(v.mask, d)) for v in state.vertices]

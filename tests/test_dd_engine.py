@@ -7,23 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conedd import dd_engine
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import (
+    PREFILTER_MODES,
     EngineState,
     RunConfig,
     RunStats,
     Vertex,
     adjacent_algebraic,
+    adjacent_combinatorial,
     combine,
+    group_partners,
     hyperplane_values,
     init_vertices,
-    partner_index,
     prefilter_pass,
     recover,
     run,
     step,
     vertex_bytes,
-    witness_index,
+    zero_index,
 )
 from conedd.errors import InternalError
 from conedd.exact_linalg import dot
@@ -134,27 +137,38 @@ def test_extended_no_weaker_than_basic():
             assert not prefilter_pass(zc, pc, sep, "extended", 7)
 
 
+def adjacency_over(masks):
+    """The combinatorial adjacency test over the zero sets `masks`."""
+    containing = zero_index(masks)
+    return lambda u, w: adjacent_combinatorial(u, w, masks, containing)
+
+
 def test_adjacent_combinatorial_unit_rays():
     masks = [v.mask for v in init_vertices(GIESEKING, "full")]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
-    assert witness_index(masks)(masks[5], masks[6])
+    assert adjacency_over(masks)(masks[5], masks[6])
 
 
 def test_adjacent_combinatorial_witness():
     u = zero_mask((1, 0, 1, 0))
     w = zero_mask((0, 1, 0, 1))
     z = zero_mask((1, 1, 1, 1))
-    assert witness_index([u, w])(u, w)
+    assert adjacency_over([u, w])(u, w)
     # z's zero set (empty) contains Z(u) & Z(w) (also empty): witness found.
-    assert not witness_index([u, w, z])(u, w)
+    assert not adjacency_over([u, w, z])(u, w)
 
 
 def test_adjacent_combinatorial_skips_duplicates_of_pair():
     u = zero_mask((1, 0, 0))
     w = zero_mask((0, 1, 0))
     # A duplicate of u in the list must not count as a witness.
-    assert witness_index([u, w, zero_mask((2, 0, 0))])(u, w)
+    assert adjacency_over([u, w, zero_mask((2, 0, 0))])(u, w)
+
+
+def brute_containing(masks, key):
+    """The superset scan: the positions whose mask contains `key`."""
+    return sum(1 << i for i, z in enumerate(masks) if z & key == key)
 
 
 def brute_adjacent(u, w, masks):
@@ -168,14 +182,14 @@ def bits_at(bitset, count):
 
 
 @st.composite
-def witness_masks(draw, dim):
+def witness_masks(draw, dim, min_size=2):
     """Zero sets over `dim` coordinates built as unions of a few random
     atoms, so that containment (and with it witnesses) is common, plus exact
     duplicates of earlier masks."""
     full = (1 << dim) - 1
     atoms = draw(st.lists(st.integers(0, full), min_size=1, max_size=5))
     masks = []
-    for _ in range(draw(st.integers(2, 14))):
+    for _ in range(draw(st.integers(min_size, 14))):
         if masks and draw(st.integers(0, 4)) == 0:
             masks.append(draw(st.sampled_from(masks)))
             continue
@@ -193,9 +207,39 @@ DIMS = (3, 8, 13, 64, 71, 84, 130)
 @pytest.mark.parametrize("dim", DIMS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_zero_index_matches_a_superset_scan(dim, data):
+    masks = data.draw(witness_masks(dim, min_size=0))
+    containing = zero_index(masks)
+    top = max(masks, default=0).bit_length()
+    keys = [0, 1 << top, 1 << dim, 1 << (dim + 64), (1 << (dim + 9)) - 1]
+    keys += [u & w for u in masks for w in masks]
+    keys += data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=8))
+    for key in keys:
+        assert containing(key) == brute_containing(masks, key), key
+
+
+def test_zero_index_edge_cases():
+    assert zero_index([])(0) == 0
+    assert zero_index([])(0b101) == 0
+    masks = [0b011, 0b001, 0b011, 0]
+    containing = zero_index(masks)
+    assert containing(0) == 0b1111  # key 0 is in every mask
+    assert containing(0b001) == 0b0111
+    assert containing(0b011) == 0b0101  # both copies
+    # Bits above every mask: inside the last 8-bit chunk, and beyond it
+    # (where `to_bytes` would overflow).
+    assert containing(0b100) == 0
+    assert containing(1 << 8 | 1) == 0
+    assert containing(1 << 200) == 0
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_witness_index_matches_the_linear_scan(dim, data):
+    """`adjacent_combinatorial` on a `zero_index` equals the linear scan."""
     masks = data.draw(witness_masks(dim))
-    adjacent = witness_index(masks)
+    adjacent = adjacency_over(masks)
     for u in masks:
         for w in masks:
             assert adjacent(u, w) == brute_adjacent(u, w, masks), (u, w)
@@ -204,66 +248,65 @@ def test_witness_index_matches_the_linear_scan(dim, data):
 def test_witness_index_ignores_duplicates_of_the_pair():
     u, w = 0b0110, 0b1100
     # Copies of Z(u) and Z(w) contain Z(u) & Z(w) but are never witnesses.
-    adjacent = witness_index([u, w, u, w, w])
-    assert adjacent(u, w)
-    assert not witness_index([u, w, u, 0b0100])(u, w)
+    assert adjacency_over([u, w, u, w, w])(u, w)
+    assert not adjacency_over([u, w, u, 0b0100])(u, w)
 
 
 @st.composite
 def grouped(draw, dim):
-    """Disjoint groups of 1-4 coordinates, and zero sets that mostly have at
-    most one non-zero per group but are sometimes incompatible on their own."""
+    """Disjoint groups of 1-4 coordinates, zero sets with at most one
+    non-zero per group (every working vertex is compatible on its own), and
+    a random subset of their positions standing for S_-."""
     coords = draw(st.permutations(range(dim)))
     groups, at = [], 0
     while at < dim and draw(st.integers(0, 5)) > 0:
         size = draw(st.integers(1, 4))
         groups.append(sorted(coords[at:at + size]))
         at += size
-
-    def masks(max_size):
-        out = []
-        for _ in range(draw(st.integers(0, max_size))):
-            mask = draw(st.integers(0, (1 << dim) - 1))
-            for group in groups:
-                if draw(st.integers(0, 5)) == 0:
-                    continue  # leave the group's random bits as drawn
-                for j in group:
-                    mask |= 1 << j
-                keep = draw(st.sampled_from([None, *group]))
-                if keep is not None:
-                    mask &= ~(1 << keep)
-            out.append(mask)
-        return out
-
-    return groups, masks(8), masks(8)
+    masks = []
+    for _ in range(draw(st.integers(0, 16))):
+        mask = draw(st.integers(0, (1 << dim) - 1))
+        for group in groups:
+            for j in group:
+                mask |= 1 << j
+            keep = draw(st.sampled_from([None, *group]))
+            if keep is not None:
+                mask &= ~(1 << keep)
+        masks.append(mask)
+    s_neg = sum(1 << i for i in range(len(masks)) if draw(st.booleans()))
+    return groups, masks, s_neg
 
 
 @pytest.mark.parametrize("dim", DIMS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_partner_index_matches_compatible(dim, data):
-    groups, s_pos, s_neg = data.draw(grouped(dim))
+    """`group_partners` on a `zero_index` equals brute-force `compatible`."""
+    groups, masks, s_neg = data.draw(grouped(dim))
     needs = group_needs(groups)
-    partners_of = partner_index(s_neg, needs)
-    for u in s_pos + s_neg:
-        want = [i for i, w in enumerate(s_neg) if compatible(u & w, needs)]
-        assert bits_at(partners_of(u), len(s_neg)) == want
+    containing = zero_index(masks)
+    partners_of = group_partners(containing, s_neg, groups)
+    negatives = bits_at(s_neg, len(masks))
+    for u in masks:
+        want = [i for i in negatives if compatible(u & masks[i], needs)]
+        assert bits_at(partners_of(u), len(masks)) == want
     # With filtering off every vertex of S_- is a partner.
-    unfiltered = partner_index(s_neg, [])
-    for u in s_pos:
-        assert bits_at(unfiltered(u), len(s_neg)) == list(range(len(s_neg)))
+    unfiltered = group_partners(containing, s_neg, ())
+    for u in masks:
+        assert unfiltered(u) == s_neg
 
 
 def test_partner_index_edge_cases():
-    needs = group_needs([(0, 1, 2), (3,)])
-    clean, other, bad = 0b1110, 0b1101, 0b1100  # non-zero at 0 / at 1 / at 0 and 1
-    assert partner_index([], needs)(clean) == 0  # empty S_-
-    partners_of = partner_index([clean, other, bad, clean], needs)
-    assert partners_of(clean) == 0b1001  # `other` and the bad vertex are out
-    assert partners_of(bad) == 0  # incompatible on its own
-    assert partners_of(0b1111) == 0b1011  # all zero: everything but the bad vertex
+    groups = [(0, 1, 2), (3,)]
+    clean, other, zero = 0b1110, 0b1101, 0b1111  # non-zero at 0 / at 1 / neither
+    containing = zero_index([clean, other, clean, zero])
+    assert group_partners(containing, 0, groups)(clean) == 0  # empty S_-
+    partners_of = group_partners(containing, 0b1111, groups)
+    assert partners_of(clean) == 0b1101  # `other` is out
+    assert partners_of(zero) == 0b1111  # zero on the group: every candidate
+    assert group_partners(containing, 0b0110, groups)(clean) == 0b0100  # only S_-
     # A group of one coordinate never rejects anything.
-    assert partner_index([0b0111], needs)(0b0111) == 1
+    assert group_partners(zero_index([0b0111]), 1, groups)(0b0111) == 1
 
 
 def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
@@ -273,7 +316,7 @@ def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
     s_pos = [m for m, t in zip(masks, values) if t > 0]
     s_neg = [m for m, t in zip(masks, values) if t < 0]
     assert s_pos and s_neg
-    adjacent = witness_index(masks)
+    adjacent = adjacency_over(masks)
     for u in s_pos:
         for w in s_neg:
             assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent(u, w)
@@ -564,6 +607,40 @@ def test_compatible_counts_equal_a_brute_force_count():
             assert want == state.stats.pair_counts
 
 
+@pytest.mark.parametrize("name", ["gieseking", "onetet", "s2xs1", "loop9"])
+def test_every_working_vertex_is_compatible_on_its_own(name):
+    """The invariant the group filter relies on: with filtering on, every
+    vertex of every stage has at most one non-zero per group."""
+    if name == "gieseking":
+        problem = GIESEKING
+    else:
+        problem = standard_matching_equations(
+            parse_triangulation((FIXTURES / f"{name}.tri").read_text())
+        )
+    needs = group_needs(problem.groups)
+    _, stats = run(problem, trace_zeros=True)
+    assert len(stats.zeros_trace) == len(problem.equations) + 1
+    for stage in stats.zeros_trace:
+        assert all(compatible(mask, needs) for mask in stage)
+
+
+@pytest.mark.parametrize("adjacency", ["comb", "alg"])
+def test_one_zero_index_per_stage_with_both_sides(monkeypatch, adjacency):
+    """Each stage whose S_+ and S_- are both non-empty builds one index over
+    all of V_{i-1}; the other stages build none."""
+    builds = []
+    real = dd_engine.zero_index
+
+    def counted(masks):
+        builds.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(dd_engine, "zero_index", counted)
+    _, stats = run(GIESEKING if adjacency == "alg" else LOOP9, RunConfig(adjacency=adjacency))
+    seps = [0, *stats.sep_trace]  # sep grows exactly at the stages with both sides
+    assert builds == [stats.sizes[i] for i in range(len(stats.sep_trace)) if seps[i + 1] > seps[i]]
+
+
 def test_run_empty_equations():
     p = EnumerationProblem(dim=3, equations=(), groups=())
     rays, stats = run(p)
@@ -609,3 +686,63 @@ def test_representations_agree(problem):
     full, _ = run(problem, RunConfig(representation="full"))
     inner, _ = run(problem, RunConfig(representation="inner"))
     assert coords_of(full) == coords_of(inner)
+
+
+def reference_step(state, k):
+    """V_i, |S_+| * |S_-| and the compatible pair count of one stage, from a
+    plain double loop over S_+ x S_- with the linear witness scan."""
+    problem, cfg = state.problem, state.config
+    values = hyperplane_values(state, k)
+    drop = state.remaining.index(k) if cfg.representation == "inner" else None
+    needs = group_needs(problem.groups) if cfg.filtering else []
+    masks = [v.mask for v in state.vertices]
+    out, pos, neg = [], [], []
+    for v, t in zip(state.vertices, values):
+        if t == 0:
+            out.append(v if drop is None else Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
+        else:
+            (pos if t > 0 else neg).append((v, t))
+    compatible_pairs = 0
+    for u, a in pos:
+        for w, b in neg:
+            inter = u.mask & w.mask
+            if not compatible(inter, needs):
+                continue
+            compatible_pairs += 1
+            count = inter.bit_count()
+            if not prefilter_pass(count, len(state.processed), state.sep, cfg.dim_prefilter, problem.dim):
+                continue
+            if brute_adjacent(u.mask, w.mask, masks):
+                out.append(combine(u, w, a, b, drop))
+    return out, len(pos) * len(neg), compatible_pairs
+
+
+@st.composite
+def grouped_problems(draw):
+    """Random problems with d <= 12 and disjoint groups of 1-4 coordinates."""
+    d = draw(st.integers(min_value=3, max_value=12))
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    equations = tuple(tuple(draw(entries) for _ in range(d)) for _ in range(nrows))
+    coords = draw(st.permutations(range(d)))
+    groups, at = [], 0
+    while at < d and draw(st.integers(0, 4)) > 0:
+        size = draw(st.integers(1, 4))
+        groups.append(tuple(sorted(coords[at:at + size])))
+        at += size
+    return EnumerationProblem(dim=d, equations=equations, groups=tuple(groups))
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+@pytest.mark.parametrize("filtering", [True, False])
+@settings(max_examples=40, deadline=None)
+@given(problem=grouped_problems(), prefilter=st.sampled_from(PREFILTER_MODES))
+def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, representation):
+    state = initial_state(
+        problem, representation, filtering=filtering, dim_prefilter=prefilter
+    )
+    for k in range(len(problem.equations)):
+        want, pairs, compatible_pairs = reference_step(state, k)
+        state = step(state, k)
+        assert state.vertices == want
+        assert state.stats.pair_counts[-1] == pairs
+        assert state.stats.compatible_counts[-1] == compatible_pairs
