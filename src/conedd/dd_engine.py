@@ -17,7 +17,10 @@ hyperplane value is a list entry, and each step deletes the processed entry,
 so vertices shrink as the run goes on.  Compatibility, the prefilter and the
 combinatorial adjacency test read only the masks.  At the end, `full`
 vertices already hold their coordinates and `inner` ones are resolved by
-`recover` from their zero sets.  `Ray` is the output type.
+`recover` from their zero sets: `run` puts the equations in sparse
+`{column: value}` form once, and each recovery restricts them to the
+columns outside the zero set and solves them with one exact sparse row
+reduction (`exact_linalg`).  `Ray` is the output type.
 
 The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
@@ -38,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
-from .exact_linalg import IntVector, dot, nullspace_generator, rank, unit_row, vector_gcd
+from .exact_linalg import IntVector, Row, dot, nullspace_generator, rank, sparse_row, unit_row, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
 from .zeroset import ZeroSet, group_mask, zero_mask
 
@@ -288,15 +291,41 @@ def adjacent_combinatorial(
     return True
 
 
+def restrict(rows: Sequence[Row], mask: int, dim: int) -> tuple[list[Row], list[int]]:
+    """The rows restricted to the columns outside `mask`, and those columns.
+
+    A restricted row keeps the entries whose mask bit is clear, with its
+    columns renumbered by their position among the free columns; rows left
+    empty are dropped.
+    """
+    free_cols = [j for j in range(dim) if not mask >> j & 1]
+    column = {j: i for i, j in enumerate(free_cols)}
+    restricted = []
+    for row in rows:
+        r = {column[j]: x for j, x in row.items() if not mask >> j & 1}
+        if r:
+            restricted.append(r)
+    return restricted, free_cols
+
+
 def adjacent_algebraic(
-    u_mask: int, w_mask: int, problem: EnumerationProblem, processed: Sequence[int]
+    u_mask: int,
+    w_mask: int,
+    problem: EnumerationProblem,
+    processed: Sequence[int],
+    rows: Optional[Sequence[Row]] = None,
 ) -> bool:
-    """Rank test: processed rows plus unit rows for Z(u) & Z(w) span d-2 dims."""
-    d = problem.dim
+    """Rank test: processed rows plus unit rows for Z(u) & Z(w) span d-2 dims.
+
+    The unit rows span |Z(u) & Z(w)| dimensions of their own, so the test
+    adds that count to the rank of the processed rows `restrict`ed to the
+    other columns.  `rows` are the processed rows as `sparse_row`s (built
+    from the problem when omitted)."""
+    if rows is None:
+        rows = [sparse_row(problem.equations[k]) for k in processed]
     inter = u_mask & w_mask
-    rows = [problem.equations[k] for k in processed]
-    rows.extend(unit_row(d, j) for j in range(d) if inter >> j & 1)
-    return rank(rows) == d - 2
+    restricted, _ = restrict(rows, inter, problem.dim)
+    return inter.bit_count() + rank(restricted) == problem.dim - 2
 
 
 def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex:
@@ -366,6 +395,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         containing = zero_index(masks)
         partners_of = group_partners(containing, s_neg, problem.groups if cfg.filtering else ())
         comb = cfg.adjacency == "comb"
+        rows = None if comb else [sparse_row(problem.equations[j]) for j in state.processed]
         mode = cfg.dim_prefilter
         for u, a in s_pos:
             u_mask = u.mask
@@ -386,7 +416,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     if comb:
                         adjacent = adjacent_combinatorial(u_mask, w_mask, masks, containing)
                     else:
-                        adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed)
+                        adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed, rows)
                     if pair_audit is not None:
                         pair_audit(processed_count, sep_before, zero_count, adjacent)
                     if adjacent:
@@ -403,26 +433,28 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     return EngineState(problem, cfg, new_vertices, state.processed + [k], remaining, sep, stats)
 
 
-def recover(problem: EnumerationProblem, zeros: ZeroSet) -> Ray:
+def recover(problem: EnumerationProblem, zeros: ZeroSet, rows: Optional[Sequence[Row]] = None) -> Ray:
     """Coordinates of the unique ray with the given final zero set.
 
     Solves the equations together with the facet conditions v_j = 0 for
     j in the zero set; equivalently, the equations restricted to the
-    complementary columns must have a one-dimensional nullspace.
+    complementary columns must have a one-dimensional nullspace, and its
+    generator must be positive on every one of them.  `rows` are the
+    equations as `sparse_row`s (built from the problem when omitted); each
+    is `restrict`ed by testing the zero-set bits of the columns it holds, so
+    the sparse reduction in `nullspace_generator` sees only the entries on
+    free columns.
     """
     d = problem.dim
     if zeros.dim != d:
         raise InternalError("zero set dimension does not match the problem")
-    free_cols = [j for j in range(d) if j not in zeros]
-    restricted = []
-    for row in problem.equations:
-        r = tuple(row[j] for j in free_cols)
-        if any(r):
-            restricted.append(r)
+    if rows is None:
+        rows = [sparse_row(row) for row in problem.equations]
+    restricted, free_cols = restrict(rows, zeros.bits, d)
     gen = nullspace_generator(restricted, len(free_cols))
     if gen is None:
         raise InternalError("recovery system does not have a one-dimensional solution space")
-    if any(x < 0 for x in gen) or any(x == 0 for x in gen):
+    if min(gen) <= 0:
         raise InternalError("recovered vector does not match its zero set")
     coords = [0] * d
     for col, value in zip(free_cols, gen):
@@ -467,7 +499,8 @@ def run(
                 stage_hook(state)
 
         if config.representation == "inner":
-            finals = [recover(problem, ZeroSet(v.mask, d)) for v in state.vertices]
+            rows = [sparse_row(row) for row in problem.equations]
+            finals = [recover(problem, ZeroSet(v.mask, d), rows) for v in state.vertices]
         else:
             finals = [Ray(tuple(v.values), ZeroSet(v.mask, d)) for v in state.vertices]
     except LimitError:

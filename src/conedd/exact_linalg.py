@@ -1,16 +1,22 @@
 """Exact integer linear algebra: dot products, gcd normalization, rank, nullspaces.
 
-Everything runs on unbounded Python ints.  Rank and nullspace use
-fraction-free (Bareiss) elimination: each update divides exactly by the
-previous pivot, so intermediate entries stay integral and of modest size.
+Everything runs on unbounded Python ints.  Rank and nullspace share one
+sparse row reduction (`_reduce`).  Rows are `{column: value}` dicts, so an
+update touches only the entries the two rows hold: a matching-equation row
+has at most 4 non-zeros, while a dense elimination would update every entry
+of every lower row at every pivot.  Each update is an integer combination
+of two rows followed by division by the gcd of the entries, so the entries
+stay integral and small.  Nullspaces are then read off by integer
+back-substitution.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 IntVector = tuple[int, ...]
+Row = dict[int, int]  # {column: non-zero value}
 
 
 def dot(m: Sequence[int], v: Sequence[int]) -> int:
@@ -45,75 +51,87 @@ def gcd_normalize(v: Sequence[int]) -> IntVector:
     return w
 
 
-def _echelonize(m: list[list[int]], ncols: int) -> list[int]:
-    """In-place fraction-free elimination; returns the pivot column list."""
-    nrows = len(m)
-    prev = 1
-    piv_cols: list[int] = []
-    piv_row = 0
-    for col in range(ncols):
-        if piv_row == nrows:
-            break
-        found = -1
-        for i in range(piv_row, nrows):
-            if m[i][col] != 0:
-                found = i
-                break
-        if found < 0:
-            continue
-        if found != piv_row:
-            m[piv_row], m[found] = m[found], m[piv_row]
-        p = m[piv_row][col]
-        top = m[piv_row]
-        for i in range(piv_row + 1, nrows):
-            row = m[i]
-            f = row[col]
-            # Uniform update keeps every later division by `prev` exact.
-            for j in range(col + 1, ncols):
-                row[j] = (p * row[j] - f * top[j]) // prev
-            row[col] = 0
-        prev = p
-        piv_cols.append(col)
-        piv_row += 1
-    return piv_cols
+def sparse_row(row: Sequence[int]) -> Row:
+    """The `{column: value}` form of a dense row, zeros left out."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
-def _copy_checked(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    m = []
+def _sparse_rows(rows: Iterable[Union[Sequence[int], Row]], ncols: Optional[int]) -> Iterator[Row]:
+    """Rows in `{column: value}` form.  Dense rows must all have `ncols`
+    entries, or, when it is None, as many as the first dense row."""
     for r in rows:
-        if len(r) != ncols:
+        if isinstance(r, dict):
+            yield r
+            continue
+        if ncols is None:
+            ncols = len(r)
+        elif len(r) != ncols:
             raise ValueError(f"row length {len(r)} != {ncols}")
-        m.append(list(r))
-    return m
+        yield sparse_row(r)
 
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank over the rationals of an integer matrix."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    m = _copy_checked(rows, ncols)
-    return len(_echelonize(m, ncols))
+def _reduce(rows: Iterable[Row], ncols: Optional[int] = None) -> dict[int, Row]:
+    """Exact row reduction; returns the pivot rows keyed by their lowest column.
+
+    Each row is reduced by the pivot of its lowest column, row <- a*row -
+    b*pivot with a, b the pivot entry and the row's entry over their gcd,
+    and then divided by the gcd of its entries.  A row that survives becomes
+    the pivot of its lowest column.  Only the entries a row holds are
+    touched.  The input rows are not modified.  With `ncols` given the
+    reduction stops once every column has a pivot.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            top = pivots.get(col)
+            if top is None:
+                g = vector_gcd(row.values())
+                if g != 1:
+                    row = {j: x // g for j, x in row.items()}
+                pivots[col] = row
+                if len(pivots) == ncols:
+                    return pivots
+                break
+            a, b = top[col], row[col]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+            for j, y in top.items():
+                x = out.get(j, 0) - b * y
+                if x:
+                    out[j] = x
+                else:
+                    del out[j]
+            g = vector_gcd(out.values())
+            row = {j: x // g for j, x in out.items()} if g > 1 else out
+    return pivots
 
 
-def nullspace_generator(rows: Sequence[Sequence[int]], ncols: int) -> Optional[IntVector]:
+def rank(rows: Sequence[Union[Sequence[int], Row]]) -> int:
+    """Exact rank over the rationals of an integer matrix, given as dense
+    rows or as `{column: value}` rows."""
+    return len(_reduce(_sparse_rows(rows, None)))
+
+
+def nullspace_generator(rows: Sequence[Union[Sequence[int], Row]], ncols: int) -> Optional[IntVector]:
     """Integer generator of a one-dimensional nullspace, or None if nullity != 1.
 
-    The result has gcd 1; its sign follows gcd_normalize (all-non-positive
-    vectors are negated, mixed signs are returned as computed).
+    `rows` are dense rows of length `ncols` or `{column: value}` rows with
+    columns in range(ncols).  The result has gcd 1, and its last non-zero
+    entry, at the one column without a pivot, is positive; so it is also
+    fixed by gcd_normalize.
     """
-    m = _copy_checked(rows, ncols)
-    piv_cols = _echelonize(m, ncols)
-    if ncols - len(piv_cols) != 1:
+    pivots = _reduce(_sparse_rows(rows, ncols), ncols)
+    if ncols - len(pivots) != 1:
         return None
-    piv_set = set(piv_cols)
-    free_col = next(c for c in range(ncols) if c not in piv_set)
+    free_col = next(c for c in range(ncols) if c not in pivots)
     x = [0] * ncols
     x[free_col] = 1
-    for i in reversed(range(len(piv_cols))):
-        col = piv_cols[i]
-        row = m[i]
-        val = sum(row[j] * x[j] for j in range(col + 1, ncols))
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        val = sum(x[j] * v for j, v in row.items())  # x[col] is still 0
         p = row[col]
         r = gcd(val, p)
         scale = abs(p) // r if val else 1
@@ -122,4 +140,3 @@ def nullspace_generator(rows: Sequence[Sequence[int]], ncols: int) -> Optional[I
             val *= scale
         x[col] = -val // p
     return gcd_normalize(x)
-

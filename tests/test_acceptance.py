@@ -17,7 +17,13 @@ from conedd.cone_problem import EnumerationProblem, admissible, mcmullen_bound, 
 from conedd.dd_engine import RunConfig, prefilter_pass, run
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
-from conedd.triangulation import parse_triangulation, standard_matching_equations, twisted_layered_loop
+from conedd.triangulation import (
+    Triangulation,
+    parse_triangulation,
+    standard_matching_equations,
+    twisted_layered_loop,
+    write_triangulation,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -158,6 +164,49 @@ def test_representations_lockstep_on_fixtures():
         if any(mi > mf for mf, mi in zip(st_f.mem_trace[1:], st_i.mem_trace[1:])):
             bad.append(f"{name}: inner memory proxy exceeds full")
     report("representation-crosscheck", not bad, "; ".join(bad) or "4 fixtures")
+
+
+def random_closed_triangulation(n: int, rng: random.Random) -> Triangulation:
+    """A connected closed triangulation of n tetrahedra: a random pairing of
+    the 4n faces, each pair glued by a random map sending the vertex opposite
+    one face to the vertex opposite the other.  Disconnected draws are
+    redrawn."""
+    while True:
+        faces = [(i, j) for i in range(n) for j in range(4)]
+        rng.shuffle(faces)
+        rows = [[None] * 4 for _ in range(n)]
+        for (i, j), (t, k) in zip(faces[::2], faces[1::2]):
+            rest = [v for v in range(4) if v != k]
+            rng.shuffle(rest)
+            images = iter(rest)
+            perm = tuple(k if v == j else next(images) for v in range(4))
+            inverse = tuple(perm.index(v) for v in range(4))
+            rows[i][j] = (t, perm)
+            rows[t][k] = (i, inverse)
+        reached, todo = {0}, [0]
+        while todo:
+            for gluing in rows[todo.pop()]:
+                if gluing[0] not in reached:
+                    reached.add(gluing[0])
+                    todo.append(gluing[0])
+        if len(reached) == n:
+            return Triangulation(n, tuple(tuple(row) for row in rows))
+
+
+def test_representations_agree_on_random_closed_triangulations():
+    """Criterion: Inner (coordinates recovered from the final zero sets) and
+    Full give identical rays on seeded random closed triangulations of 3-5
+    tetrahedra, whose recovery systems are census-like rather than loop-like."""
+    rng = random.Random(20100)
+    bad = []
+    for index in range(90):
+        t = random_closed_triangulation(3 + index % 3, rng)
+        problem = standard_matching_equations(t)
+        rays_f, _ = run(problem, RunConfig(representation="full"))
+        rays_i, _ = run(problem, RunConfig(representation="inner"))
+        if rays_f != rays_i:
+            bad.append(f"triangulation {index}: {write_triangulation(t)!r}")
+    report("representation-crosscheck-random", not bad, "; ".join(bad) or "90 triangulations")
 
 
 def test_position_ordering_reproduces_input_order():

@@ -1,9 +1,10 @@
 """Tests for exact integer linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedd.exact_linalg import (
@@ -11,6 +12,7 @@ from conedd.exact_linalg import (
     gcd_normalize,
     nullspace_generator,
     rank,
+    sparse_row,
     unit_row,
     vector_gcd,
 )
@@ -83,6 +85,27 @@ def test_nullspace_generator_none_when_nullity_two():
     assert nullspace_generator([(1, 0, 0, 0)], 4) is None
 
 
+def test_nullity_one_then_zero_from_the_last_row():
+    # The first two rows leave nullity 1 (generator (1, 1, 1)); the last row
+    # alone makes it 0, so no elimination may stop at rank ncols - 1.
+    rows = [(1, -1, 0), (0, 1, -1)]
+    assert nullspace_generator(rows, 3) == (1, 1, 1)
+    assert nullspace_generator(rows + [(1, 0, 0)], 3) is None
+    assert nullspace_generator([sparse_row(r) for r in rows] + [{0: 1}], 3) is None
+
+
+def test_sparse_row():
+    assert sparse_row((0, 2, 0, -1)) == {1: 2, 3: -1}
+    assert sparse_row((0, 0)) == {}
+
+
+def test_ragged_rows_rejected():
+    with pytest.raises(ValueError):
+        rank([(1, 0), (1,)])
+    with pytest.raises(ValueError):
+        nullspace_generator([(1, 0, 0)], 2)
+
+
 def test_nullspace_generator_scaling():
     # 2x = 3y has integer generator (3, 2).
     gen = nullspace_generator([(2, -3)], 2)
@@ -90,23 +113,58 @@ def test_nullspace_generator_scaling():
     assert gen == gcd_normalize(gen)
 
 
-def _rank_fraction(rows):
-    """Reference rank over the rationals with naive Gaussian elimination."""
+def _gauss_jordan(rows, ncols):
+    """Reference over the rationals: (rank, nullspace basis) by Gauss-Jordan
+    elimination on Fractions.  Basis vector f has a 1 at free column f."""
     m = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
+    piv_cols = []
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        r = len(piv_cols)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        for i in range(nrows):
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
             if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
+                f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
+        piv_cols.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in piv_cols):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, c in enumerate(piv_cols):
+            v[c] = -m[i][free]
+        basis.append(v)
+    return len(piv_cols), basis
+
+
+def _primitive(v):
+    """The integer multiple of a rational vector with gcd 1."""
+    scale = 1
+    for x in v:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in v]
+    g = vector_gcd(ints)
+    return tuple(x // g for x in ints)
+
+
+def _rank_fraction(rows):
+    return _gauss_jordan(rows, len(rows[0]) if rows else 0)[0]
+
+
+def _check_against_reference(rows, ncols):
+    """rank and nullspace_generator agree with Gauss-Jordan, on dense rows and
+    on `{column: value}` rows alike.  A generator is the primitive multiple
+    of the reference basis vector whose last non-zero entry is positive."""
+    ref_rank, basis = _gauss_jordan(rows, ncols)
+    sparse = [sparse_row(r) for r in rows]
+    assert rank([tuple(r) for r in rows]) == rank(sparse) == ref_rank
+    want = _primitive(basis[0]) if len(basis) == 1 else None
+    assert nullspace_generator([tuple(r) for r in rows], ncols) == want
+    assert nullspace_generator(sparse, ncols) == want
+    return len(basis)
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -143,3 +201,74 @@ def test_gcd_normalize_idempotent(v):
     once = gcd_normalize(tuple(v))
     assert gcd_normalize(once) == once
     assert vector_gcd(once) == 1
+
+
+@st.composite
+def sparse_pm1_matrices(draw):
+    """Rows like matching equations: at most 4 non-zeros, each +-1.  Zero
+    rows come from empty draws; a duplicate of a drawn row may be added."""
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    row = st.dictionaries(
+        st.integers(min_value=0, max_value=ncols - 1),
+        st.sampled_from((-1, 1)),
+        max_size=min(4, ncols),
+    )
+    entries = draw(st.lists(row, max_size=ncols + 2))
+    rows = [tuple(e.get(j, 0) for j in range(ncols)) for e in entries]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    return rows, ncols
+
+
+@settings(max_examples=300)
+@given(sparse_pm1_matrices())
+@example(([], 1))  # nullity 1 with no rows at all
+@example(([(0, 0, 0), (1, -1, 0), (1, -1, 0), (0, 1, -1)], 3))  # zero and duplicate rows, nullity 1
+@example(([(1, -1, 0, 0), (0, 0, 1, 1)], 4))  # nullity 2
+@example(([(1, -1, 0), (0, 1, -1), (1, 0, 1)], 3))  # last row turns nullity 1 into 0
+def test_reduction_matches_gauss_jordan_sparse(case):
+    rows, ncols = case
+    _check_against_reference(rows, ncols)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda ncols: st.tuples(
+            st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9), min_size=ncols, max_size=ncols).map(tuple),
+                max_size=6,
+            ),
+            st.just(ncols),
+        )
+    )
+)
+@example(([(2, -3), (4, -6)], 2))  # duplicate up to scale, nullity 1
+@example(([(3, 5), (6, 9)], 2))  # nullity 0
+def test_reduction_matches_gauss_jordan_dense(case):
+    rows, ncols = case
+    _check_against_reference(rows, ncols)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda ncols: st.tuples(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=ncols, max_size=ncols).filter(any),
+            st.lists(
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=ncols, max_size=ncols),
+                max_size=ncols + 1,
+            ),
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=ncols, max_size=ncols),
+        )
+    )
+)
+def test_last_row_breaks_nullity_one(case):
+    """Rows orthogonal to v have nullity >= 1; when it is exactly 1, one more
+    row not orthogonal to v must make the generator None."""
+    v, raw, last = case
+    vv = sum(x * x for x in v)
+    rows = [tuple(vv * a - dot(r, v) * b for a, b in zip(r, v)) for r in raw]
+    if _check_against_reference(rows, len(v)) == 1 and dot(last, v) != 0:
+        assert nullspace_generator(rows + [tuple(last)], len(v)) is None
+        assert nullspace_generator([sparse_row(r) for r in rows + [last]], len(v)) is None
