@@ -24,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conedd.dd_engine import run
-from conedd.exact_linalg import rank
+from conedd.exact_linalg import rank, sparse_row
 from conedd.triangulation import (
     Triangulation,
     _closed_loop_gluings,
@@ -163,8 +163,7 @@ def h1_free_rank(t: Triangulation) -> int:
                 root, s = dsu.find((i, (a, b)))
                 col[index[root]] += c * s
             columns.append(col)
-    matrix = [list(row) for row in zip(*columns)] if columns else []
-    return len(roots) - (rank(matrix) if matrix else 0)
+    return len(roots) - rank(sparse_row(row) for row in zip(*columns))
 
 
 def filtered_count(t: Triangulation) -> int:

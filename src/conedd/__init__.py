@@ -4,7 +4,6 @@ with a triangulation front end producing normal-surface matching equations."""
 from .cone_problem import (
     EnumerationProblem,
     admissible,
-    mcmullen_bound,
     parse_cone,
     parse_rays,
     write_cone,
@@ -29,7 +28,6 @@ from .triangulation import (
     twisted_layered_loop,
     write_triangulation,
 )
-from .zeroset import ZeroSet, zeroset_of
 
 __version__ = "0.1.0"
 
@@ -42,14 +40,12 @@ __all__ = [
     "RunStats",
     "Skeleton",
     "Triangulation",
-    "ZeroSet",
     "__version__",
     "admissible",
     "brute_force_filtered",
     "brute_force_rays",
     "choose_dynamic",
     "compute_skeleton",
-    "mcmullen_bound",
     "order_static",
     "parse_cone",
     "parse_rays",
@@ -64,5 +60,4 @@ __all__ = [
     "write_cone",
     "write_rays",
     "write_triangulation",
-    "zeroset_of",
 ]

@@ -8,7 +8,6 @@ coordinate per group.  Rays are integer vectors taken at gcd 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -118,15 +117,6 @@ def admissible(problem: EnumerationProblem, v: Sequence[int]) -> bool:
         if sum(1 for k in group if v[k] != 0) > 1:
             return False
     return True
-
-
-def mcmullen_bound(p: int, f: int) -> int:
-    """Maximum vertex count of a p-dimensional polytope with f facets."""
-    if p < 0 or f < p:
-        raise ValueError(f"need f >= p >= 0, got p={p}, f={f}")
-    if p == 0:
-        return 1
-    return comb(f - (p + 1) // 2, p // 2) + comb(f - p // 2 - 1, (p + 1) // 2 - 1)
 
 
 def write_rays(rays: Iterable[Sequence[int]]) -> str:

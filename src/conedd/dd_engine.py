@@ -9,25 +9,28 @@ the group constraints are considered, so inadmissible rays never enter the
 working sets.
 
 Every working vertex is a `Vertex`: its zero set as an int bitmask plus a
-list of integer values.  The representation switch decides only what the
-values are.  Under `full` they are the coordinates, and a hyperplane value is
-a dot product.  Under `inner` they are the inner products with the
+list of integer values.  The bare mask is the only zero-set type; recovery
+takes it too.  The representation switch decides only what the values are.
+Under `full` they are the coordinates, and a hyperplane value is a dot
+product.  Under `inner` they are the inner products with the
 hyperplanes not yet processed, in the order of `EngineState.remaining`; a
 hyperplane value is a list entry, and each step deletes the processed entry,
 so vertices shrink as the run goes on.  Compatibility, the prefilter and the
 combinatorial adjacency test read only the masks.  At the end, `full`
 vertices already hold their coordinates and `inner` ones are resolved by
-`recover` from their zero sets: `run` puts the equations in sparse
+`recover` from their zero-set masks: `run` puts the equations in sparse
 `{column: value}` form once, and each recovery restricts them to the
 columns outside the zero set and solves them with one exact sparse row
-reduction (`exact_linalg`).  `Ray` is the output type.
+reduction (`exact_linalg`).  `Ray`, the output type, holds the coordinates
+only.
 
 The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
 set contains a key, and both pair filters, the group filter and the
-combinatorial adjacency test, are that query (see `step`).
-`RunStats.compatible_counts` records the compatible pairs of each stage;
-`pair_counts` stays |S_+| * |S_-|.
+combinatorial adjacency test, are that query (see `step`).  The
+dimensional prefilter is one threshold per stage (`prefilter_need`) that a
+pair's common zero count must reach.  `RunStats.compatible_counts` records
+the compatible pairs of each stage; `pair_counts` stays |S_+| * |S_-|.
 
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.
@@ -43,7 +46,7 @@ from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
 from .exact_linalg import IntVector, Row, dot, nullspace_generator, rank, sparse_row, unit_row, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
-from .zeroset import ZeroSet, group_mask, zero_mask
+from .zeroset import group_mask, zero_mask
 
 ADJACENCY_MODES = ("comb", "alg")
 REPRESENTATIONS = ("full", "inner")
@@ -52,10 +55,9 @@ PREFILTER_MODES = ("off", "basic", "extended")
 
 @dataclass(frozen=True)
 class Ray:
-    """Output ray: non-negative integer coordinates at gcd 1 and their zero set."""
+    """Output ray: non-negative integer coordinates at gcd 1."""
 
     coords: IntVector
-    zeros: ZeroSet
 
 
 class Vertex(NamedTuple):
@@ -100,18 +102,15 @@ class RunStats:
     elapsed_s: float = 0.0
     peak_mem_bytes: int = 0
     final_count: int = 0
-    zeros_trace: Optional[list[tuple[int, ...]]] = None
 
     @property
     def max_vertex_count(self) -> int:
         return max(self.sizes) if self.sizes else 0
 
     def record(self, vertices: Sequence[Vertex], dim: int) -> None:
-        """Append the size, memory proxy and (if traced) zero sets of a stage."""
+        """Append the size and memory proxy of a stage."""
         self.sizes.append(len(vertices))
         self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
-        if self.zeros_trace is not None:
-            self.zeros_trace.append(tuple(sorted(v.mask for v in vertices)))
 
 
 @dataclass
@@ -179,18 +178,20 @@ def hyperplane_values(state: EngineState, k: int) -> list[int]:
     return [v.values[i] for v in state.vertices]
 
 
-def prefilter_pass(zero_count: int, processed_count: int, sep_before: int, mode: str, dim: int) -> bool:
-    """Necessary dimension condition for a pair to yield an extreme ray.
+def prefilter_need(mode: str, processed_count: int, sep_before: int, dim: int) -> int:
+    """Necessary dimension condition for a pair to yield an extreme ray: the
+    least number of common zeros, |Z(u) & Z(w)|, a pair must have.
 
     `processed_count` and `sep_before` are taken at the previous stage, i.e.
-    before the current hyperplane is accounted for.
+    before the current hyperplane is accounted for, so the threshold is
+    fixed for the whole stage.
     """
     if mode == "off":
-        return True
+        return 0
     if mode == "basic":
-        return zero_count + processed_count >= dim - 2
+        return dim - 2 - processed_count
     if mode == "extended":
-        return zero_count + sep_before >= dim - 2
+        return dim - 2 - sep_before
     raise ValueError(f"unknown prefilter mode: {mode!r}")
 
 
@@ -396,7 +397,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         partners_of = group_partners(containing, s_neg, problem.groups if cfg.filtering else ())
         comb = cfg.adjacency == "comb"
         rows = None if comb else [sparse_row(problem.equations[j]) for j in state.processed]
-        mode = cfg.dim_prefilter
+        need = prefilter_need(cfg.dim_prefilter, processed_count, sep_before, d)
         for u, a in s_pos:
             u_mask = u.mask
             partners = partners_of(u_mask)
@@ -411,7 +412,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     i = base + low.bit_length()
                     w_mask = masks[i]
                     zero_count = (u_mask & w_mask).bit_count()
-                    if not prefilter_pass(zero_count, processed_count, sep_before, mode, d):
+                    if zero_count < need:
                         continue
                     if comb:
                         adjacent = adjacent_combinatorial(u_mask, w_mask, masks, containing)
@@ -433,8 +434,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     return EngineState(problem, cfg, new_vertices, state.processed + [k], remaining, sep, stats)
 
 
-def recover(problem: EnumerationProblem, zeros: ZeroSet, rows: Optional[Sequence[Row]] = None) -> Ray:
-    """Coordinates of the unique ray with the given final zero set.
+def recover(problem: EnumerationProblem, mask: int, rows: Optional[Sequence[Row]] = None) -> Ray:
+    """Coordinates of the unique ray whose final zero set is `mask`.
 
     Solves the equations together with the facet conditions v_j = 0 for
     j in the zero set; equivalently, the equations restricted to the
@@ -446,11 +447,11 @@ def recover(problem: EnumerationProblem, zeros: ZeroSet, rows: Optional[Sequence
     free columns.
     """
     d = problem.dim
-    if zeros.dim != d:
-        raise InternalError("zero set dimension does not match the problem")
+    if mask >> d:
+        raise InternalError("zero set has bits outside the problem dimension")
     if rows is None:
         rows = [sparse_row(row) for row in problem.equations]
-    restricted, free_cols = restrict(rows, zeros.bits, d)
+    restricted, free_cols = restrict(rows, mask, d)
     gen = nullspace_generator(restricted, len(free_cols))
     if gen is None:
         raise InternalError("recovery system does not have a one-dimensional solution space")
@@ -459,14 +460,13 @@ def recover(problem: EnumerationProblem, zeros: ZeroSet, rows: Optional[Sequence
     coords = [0] * d
     for col, value in zip(free_cols, gen):
         coords[col] = value
-    return Ray(tuple(coords), zeros)
+    return Ray(tuple(coords))
 
 
 def run(
     problem: EnumerationProblem,
     config: Optional[RunConfig] = None,
     *,
-    trace_zeros: bool = False,
     pair_audit: Optional[PairAudit] = None,
     stage_hook: Optional[Callable[[EngineState], None]] = None,
 ) -> tuple[list[Ray], RunStats]:
@@ -481,7 +481,7 @@ def run(
     start = time.perf_counter()
     d = problem.dim
     vertices = init_vertices(problem, config.representation)
-    stats = RunStats(zeros_trace=[] if trace_zeros else None)
+    stats = RunStats()
     stats.record(vertices, d)
     state = EngineState(problem, config, vertices, [], list(range(len(problem.equations))), 0, stats)
 
@@ -500,17 +500,14 @@ def run(
 
         if config.representation == "inner":
             rows = [sparse_row(row) for row in problem.equations]
-            finals = [recover(problem, ZeroSet(v.mask, d), rows) for v in state.vertices]
+            finals = [recover(problem, v.mask, rows) for v in state.vertices]
         else:
-            finals = [Ray(tuple(v.values), ZeroSet(v.mask, d)) for v in state.vertices]
+            finals = [Ray(tuple(v.values)) for v in state.vertices]
     except LimitError:
         raise
     except ValueError as exc:
         raise InternalError(f"invariant failed during the run: {exc}") from exc
-    unique: dict[IntVector, Ray] = {}
-    for r in finals:
-        unique[r.coords] = r
-    rays = [unique[c] for c in sorted(unique)]
+    rays = [Ray(c) for c in sorted({r.coords for r in finals})]
 
     stats.order = tuple(state.processed)
     stats.elapsed_s = time.perf_counter() - start

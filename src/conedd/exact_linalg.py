@@ -1,8 +1,9 @@
 """Exact integer linear algebra: dot products, gcd normalization, rank, nullspaces.
 
 Everything runs on unbounded Python ints.  Rank and nullspace share one
-sparse row reduction (`_reduce`).  Rows are `{column: value}` dicts, so an
-update touches only the entries the two rows hold: a matching-equation row
+sparse row reduction (`_reduce`).  Rows are `{column: value}` dicts, the only
+row form they accept (`sparse_row` converts a dense row), so an update
+touches only the entries the two rows hold: a matching-equation row
 has at most 4 non-zeros, while a dense elimination would update every entry
 of every lower row at every pivot.  Each update is an integer combination
 of two rows followed by division by the gcd of the entries, so the entries
@@ -13,7 +14,7 @@ back-substitution.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 IntVector = tuple[int, ...]
 Row = dict[int, int]  # {column: non-zero value}
@@ -56,20 +57,6 @@ def sparse_row(row: Sequence[int]) -> Row:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _sparse_rows(rows: Iterable[Union[Sequence[int], Row]], ncols: Optional[int]) -> Iterator[Row]:
-    """Rows in `{column: value}` form.  Dense rows must all have `ncols`
-    entries, or, when it is None, as many as the first dense row."""
-    for r in rows:
-        if isinstance(r, dict):
-            yield r
-            continue
-        if ncols is None:
-            ncols = len(r)
-        elif len(r) != ncols:
-            raise ValueError(f"row length {len(r)} != {ncols}")
-        yield sparse_row(r)
-
-
 def _reduce(rows: Iterable[Row], ncols: Optional[int] = None) -> dict[int, Row]:
     """Exact row reduction; returns the pivot rows keyed by their lowest column.
 
@@ -109,21 +96,20 @@ def _reduce(rows: Iterable[Row], ncols: Optional[int] = None) -> dict[int, Row]:
     return pivots
 
 
-def rank(rows: Sequence[Union[Sequence[int], Row]]) -> int:
-    """Exact rank over the rationals of an integer matrix, given as dense
-    rows or as `{column: value}` rows."""
-    return len(_reduce(_sparse_rows(rows, None)))
+def rank(rows: Iterable[Row]) -> int:
+    """Exact rank over the rationals of an integer matrix given as
+    `{column: value}` rows."""
+    return len(_reduce(rows))
 
 
-def nullspace_generator(rows: Sequence[Union[Sequence[int], Row]], ncols: int) -> Optional[IntVector]:
+def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
     """Integer generator of a one-dimensional nullspace, or None if nullity != 1.
 
-    `rows` are dense rows of length `ncols` or `{column: value}` rows with
-    columns in range(ncols).  The result has gcd 1, and its last non-zero
-    entry, at the one column without a pivot, is positive; so it is also
-    fixed by gcd_normalize.
+    `rows` are `{column: value}` rows with columns in range(ncols).  The
+    result has gcd 1, and its last non-zero entry, at the one column without
+    a pivot, is positive; so it is also fixed by gcd_normalize.
     """
-    pivots = _reduce(_sparse_rows(rows, ncols), ncols)
+    pivots = _reduce(rows, ncols)
     if ncols - len(pivots) != 1:
         return None
     free_col = next(c for c in range(ncols) if c not in pivots)

@@ -15,8 +15,7 @@ from typing import Optional
 from .cone_problem import EnumerationProblem, admissible
 from .dd_engine import Ray
 from .errors import LimitError
-from .exact_linalg import nullspace_generator, rank, unit_row
-from .zeroset import zeroset_of
+from .exact_linalg import nullspace_generator, rank, sparse_row
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,9 @@ class OracleLimit:
 
 def is_extreme(problem: EnumerationProblem, coords) -> bool:
     """Rank criterion: equations plus the facets through the ray span d-1 dims."""
-    d = problem.dim
-    zeros = zeroset_of(coords)
-    rows = list(problem.equations)
-    rows.extend(unit_row(d, j) for j in zeros.indices())
-    return rank(rows) == d - 1
+    rows = [sparse_row(row) for row in problem.equations]
+    rows.extend({j: 1} for j, x in enumerate(coords) if x == 0)
+    return rank(rows) == problem.dim - 1
 
 
 def brute_force_rays(
@@ -47,18 +44,17 @@ def brute_force_rays(
     d = problem.dim
     if d > limit.max_dim:
         raise LimitError(f"dimension {d} exceeds the oracle limit {limit.max_dim}")
-    equation_rank = rank(problem.equations)
+    base = [sparse_row(row) for row in problem.equations]
     # Smaller zero sets cannot pin down a one-dimensional nullspace.
-    min_size = max(0, d - 2 - equation_rank)
+    min_size = max(0, d - 2 - rank(base))
     candidates: set = set()
     examined = 0
-    base = list(problem.equations)
     for size in range(min_size, d + 1):
         for subset in combinations(range(d), size):
             examined += 1
             if examined > limit.max_subsets:
                 raise LimitError(f"subset budget {limit.max_subsets} exceeded")
-            rows = base + [unit_row(d, j) for j in subset]
+            rows = base + [{j: 1} for j in subset]
             gen = nullspace_generator(rows, d)
             if gen is None or any(x < 0 for x in gen):
                 continue
@@ -66,7 +62,7 @@ def brute_force_rays(
     out = []
     for coords in sorted(candidates):
         if is_extreme(problem, coords):
-            out.append(Ray(coords, zeroset_of(coords)))
+            out.append(Ray(coords))
     return out
 
 

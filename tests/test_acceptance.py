@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from conedd.cli import main
-from conedd.cone_problem import EnumerationProblem, admissible, mcmullen_bound, parse_cone
-from conedd.dd_engine import RunConfig, prefilter_pass, run
+from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
+from conedd.dd_engine import RunConfig, prefilter_need, run
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import (
@@ -130,10 +130,9 @@ def test_prefilter_never_rejects_adjacent_pairs():
         def audit(processed_count, sep_before, zero_count, adjacent):
             nonlocal violations
             if adjacent:
-                if not prefilter_pass(zero_count, processed_count, sep_before, "basic", d):
-                    violations += 1
-                if not prefilter_pass(zero_count, processed_count, sep_before, "extended", d):
-                    violations += 1
+                for mode in ("basic", "extended"):
+                    if zero_count < prefilter_need(mode, processed_count, sep_before, d):
+                        violations += 1
 
         run(problem, RunConfig(dim_prefilter="off"), pair_audit=audit)
         run(problem, RunConfig(dim_prefilter="off", filtering=False), pair_audit=audit)
@@ -142,6 +141,13 @@ def test_prefilter_never_rejects_adjacent_pairs():
     for problem in RANDOM_SUITE:
         check(problem)
     report("prefilter-safety", violations == 0, f"{violations} violations")
+
+
+def zero_sets_to(trace):
+    """A `stage_hook` appending the sorted zero-set masks of each V_i to
+    `trace`.  V_0 is left out: it is the d unit rays under every
+    representation."""
+    return lambda state: trace.append(sorted(v.mask for v in state.vertices))
 
 
 def test_representations_lockstep_on_fixtures():
@@ -155,9 +161,10 @@ def test_representations_lockstep_on_fixtures():
     bad = []
     for name, problem in problems:
         assert len(problem.equations) < problem.dim
-        rays_f, st_f = run(problem, RunConfig(representation="full"), trace_zeros=True)
-        rays_i, st_i = run(problem, RunConfig(representation="inner"), trace_zeros=True)
-        if st_f.zeros_trace != st_i.zeros_trace:
+        trace_f, trace_i = [], []
+        rays_f, st_f = run(problem, RunConfig(representation="full"), stage_hook=zero_sets_to(trace_f))
+        rays_i, st_i = run(problem, RunConfig(representation="inner"), stage_hook=zero_sets_to(trace_i))
+        if trace_f != trace_i:
             bad.append(f"{name}: zero-set traces differ")
         if [r.coords for r in rays_f] != [r.coords for r in rays_i]:
             bad.append(f"{name}: final rays differ")
@@ -223,12 +230,6 @@ def test_position_ordering_reproduces_input_order():
         perm == (0, 1, 2, 3, 4) and tied,
         f"perm={perm}, rows 2/3 share a support pattern: {tied}",
     )
-
-
-def test_mcmullen_values():
-    """Criterion: mcmullen_bound(2, 7) = 7 and mcmullen_bound(4, 6) = 9."""
-    a, b = mcmullen_bound(2, 7), mcmullen_bound(4, 6)
-    report("mcmullen-bound", (a, b) == (7, 9), f"(2,7)->{a}, (4,6)->{b}")
 
 
 def fib(k: int) -> int:

@@ -116,10 +116,17 @@ def test_verify_length_mismatch_is_input_error(tmp_path):
     assert main(["verify", "--problem", GIESEKING, "--rays", str(rays_path)]) == 1
 
 
-def test_oracle_matches_engine(tmp_path):
+@pytest.mark.parametrize("name", ["gieseking", "onetet", "s2xs1"])
+def test_oracle_matches_engine(tmp_path, name):
+    """The engine equals the brute-force oracle on every fixture within the
+    oracle's reach; s2xs1 has d = 14, the oracle's dimension limit."""
+    cone = FIXTURES / f"{name}.cone"
+    if not cone.exists():
+        cone = tmp_path / f"{name}.cone"
+        assert main(["equations", "--input", str(FIXTURES / f"{name}.tri"), "--output", str(cone)]) == 0
     a, b = tmp_path / "engine.txt", tmp_path / "oracle.txt"
-    main(["enumerate", "--input", GIESEKING, "--output", str(a)])
-    assert main(["oracle", "--input", GIESEKING, "--filtered", "--output", str(b)]) == 0
+    assert main(["enumerate", "--input", str(cone), "--output", str(a)]) == 0
+    assert main(["oracle", "--input", str(cone), "--filtered", "--output", str(b)]) == 0
     assert a.read_text() == b.read_text()
 
 

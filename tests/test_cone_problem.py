@@ -7,7 +7,6 @@ import pytest
 from conedd.cone_problem import (
     EnumerationProblem,
     admissible,
-    mcmullen_bound,
     parse_cone,
     parse_rays,
     write_cone,
@@ -82,20 +81,6 @@ def test_admissible():
     assert not admissible(GIESEKING, (0, 0, 0, 0, 1, 1, 1))
     with pytest.raises(ValueError):
         admissible(GIESEKING, (1, 1))
-
-
-def test_mcmullen_bound_values():
-    assert mcmullen_bound(2, 7) == 7
-    assert mcmullen_bound(4, 6) == 9
-    assert mcmullen_bound(0, 5) == 1
-    assert mcmullen_bound(1, 5) == 2
-
-
-def test_mcmullen_bound_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mcmullen_bound(-1, 5)
-    with pytest.raises(ValueError):
-        mcmullen_bound(2, 0)
 
 
 def test_rays_roundtrip():

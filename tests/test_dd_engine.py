@@ -21,7 +21,7 @@ from conedd.dd_engine import (
     group_partners,
     hyperplane_values,
     init_vertices,
-    prefilter_pass,
+    prefilter_need,
     recover,
     run,
     step,
@@ -33,7 +33,7 @@ from conedd.exact_linalg import dot
 from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations
-from conedd.zeroset import ZeroSet, compatible, group_needs, zero_mask
+from conedd.zeroset import group_mask, zero_mask
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -47,8 +47,8 @@ def coords_of(rays):
     return [r.coords for r in rays]
 
 
-def zero_set(indices, dim):
-    return ZeroSet(sum(1 << j for j in indices), dim)
+def bits_of(indices):
+    return sum(1 << j for j in indices)
 
 
 def initial_state(problem, representation, **options):
@@ -114,27 +114,24 @@ def test_compatible():
     assert compatible(e0.mask & e0.mask, needs)
 
 
-def test_prefilter_pass_arithmetic():
+def test_prefilter_need_arithmetic():
     # d = 7, so a pair needs zero_count + stages >= 5.
-    assert prefilter_pass(5, 0, 0, "basic", 7)
-    assert not prefilter_pass(4, 0, 0, "basic", 7)
-    assert prefilter_pass(4, 1, 0, "basic", 7)
+    assert prefilter_need("basic", 0, 0, 7) == 5
+    assert prefilter_need("basic", 1, 0, 7) == 4
     # Extended counts only separating stages, a smaller quantity.
-    assert not prefilter_pass(4, 1, 0, "extended", 7)
-    assert prefilter_pass(4, 3, 1, "extended", 7)
-    assert prefilter_pass(0, 0, 0, "off", 7)
+    assert prefilter_need("extended", 1, 0, 7) == 5
+    assert prefilter_need("extended", 3, 1, 7) == 4
+    assert prefilter_need("off", 0, 0, 7) == 0
     with pytest.raises(ValueError):
-        prefilter_pass(0, 0, 0, "bogus", 7)
+        prefilter_need("bogus", 0, 0, 7)
 
 
 def test_extended_no_weaker_than_basic():
     # sep_before <= processed_count always, so extended rejects whenever
     # basic does.
-    for zc, pc, sep in product(range(6), range(6), range(6)):
-        if sep > pc:
-            continue
-        if not prefilter_pass(zc, pc, sep, "basic", 7):
-            assert not prefilter_pass(zc, pc, sep, "extended", 7)
+    for pc, sep in product(range(6), range(6)):
+        if sep <= pc:
+            assert prefilter_need("extended", pc, sep, 7) >= prefilter_need("basic", pc, sep, 7)
 
 
 def adjacency_over(masks):
@@ -175,6 +172,35 @@ def brute_adjacent(u, w, masks):
     """The linear witness scan: no third zero set contains Z(u) & Z(w)."""
     inter = u & w
     return not any(z & inter == inter and z != u and z != w for z in masks)
+
+
+def group_needs(groups):
+    """(member mask, members that must be zero) for each group."""
+    return [(group_mask(group), len(group) - 1) for group in groups]
+
+
+def compatible(bits, needs):
+    """The group test, one group at a time: a vector with zero set `bits`
+    has at most one non-zero coordinate in each group described by `needs`.
+    A pair is compatible when the zero set of any positive combination,
+    Z(u) & Z(w), passes."""
+    return all((bits & mask).bit_count() >= need for mask, need in needs)
+
+
+def test_group_satisfied_examples():
+    needs = group_needs(((4, 5, 6),))
+    assert needs == [(0b1110000, 2)]
+    assert compatible(bits_of([4, 5, 6]), needs)
+    assert compatible(bits_of([4, 5]), needs)
+    assert not compatible(bits_of([4]), needs)
+    assert not compatible(bits_of([0, 1, 2, 3]), needs)
+
+
+def test_group_satisfied_multiple_groups():
+    needs = group_needs(((0, 1, 2), (3, 4, 5)))
+    assert compatible(bits_of([0, 1, 3, 4]), needs)
+    assert not compatible(bits_of([0, 1, 3]), needs)
+    assert compatible(0, group_needs(()))
 
 
 def bits_at(bitset, count):
@@ -327,7 +353,7 @@ def test_combine_full():
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
     r = combine(vs[6], vs[5], 1, -1, None)
     assert r.values == [0, 0, 0, 0, 0, 1, 1]
-    assert ZeroSet(r.mask, 7).indices() == (0, 1, 2, 3, 4)
+    assert r.mask == bits_of(range(5))
     # The result is divided by the gcd of its values.
     assert combine(vs[6], vs[5], 2, -2, None).values == [0, 0, 0, 0, 0, 1, 1]
 
@@ -449,12 +475,24 @@ def test_onetet_run():
     ]
 
 
+def run_tracing_zero_sets(problem, config=None):
+    """`run`, plus the sorted zero-set masks of V_1, V_2, ... collected by
+    `stage_hook`.  V_0 is the d unit rays under every representation."""
+    trace = []
+    rays, stats = run(
+        problem, config, stage_hook=lambda s: trace.append(sorted(v.mask for v in s.vertices))
+    )
+    return rays, stats, trace
+
+
 def test_inner_full_lockstep():
     """Same zero sets at every stage, same finals, for both representations."""
     base = dict(ordering=parse_strategy("input"), adjacency="comb", dim_prefilter="extended")
-    _, st_full = run(GIESEKING, RunConfig(representation="full", **base), trace_zeros=True)
-    rays_i, st_inner = run(GIESEKING, RunConfig(representation="inner", **base), trace_zeros=True)
-    assert st_full.zeros_trace == st_inner.zeros_trace
+    _, st_full, trace_full = run_tracing_zero_sets(GIESEKING, RunConfig(representation="full", **base))
+    rays_i, st_inner, trace_inner = run_tracing_zero_sets(
+        GIESEKING, RunConfig(representation="inner", **base)
+    )
+    assert trace_full == trace_inner
     assert coords_of(rays_i) == GIESEKING_FILTERED
     # The inner representation stores g - i products per vertex, never more
     # than the d coordinates, so its stage footprint is no larger.
@@ -499,25 +537,27 @@ def test_run_config_validation():
 
 
 def test_recover_examples():
-    r = recover(GIESEKING, zero_set([4, 5, 6], 7))
+    r = recover(GIESEKING, bits_of([4, 5, 6]))
     assert r.coords == (1, 1, 1, 1, 0, 0, 0)
-    r2 = recover(GIESEKING, zero_set([0, 1, 2, 3], 7))
+    r2 = recover(GIESEKING, bits_of([0, 1, 2, 3]))
     assert r2.coords == (0, 0, 0, 0, 1, 1, 1)
 
 
 def test_recover_errors():
     with pytest.raises(InternalError):
-        recover(GIESEKING, zero_set(range(7), 7))  # no nonzero coordinates left
+        recover(GIESEKING, bits_of(range(7)))  # no nonzero coordinates left
     with pytest.raises(InternalError):
-        recover(GIESEKING, zero_set([], 7))  # nullity 2, not a single ray
-    with pytest.raises(InternalError):
-        recover(GIESEKING, zero_set([], 8))  # wrong dimension
+        recover(GIESEKING, 0)  # nullity 2, not a single ray
+    with pytest.raises(InternalError, match="outside the problem dimension"):
+        recover(GIESEKING, bits_of([4, 5, 6, 7]))  # wrong dimension
+    with pytest.raises(InternalError, match="outside the problem dimension"):
+        recover(GIESEKING, -1)
     p = EnumerationProblem(dim=2, equations=((1, 1),), groups=())
     with pytest.raises(InternalError):
-        recover(p, zero_set([], 2))  # generator (1, -1) is mixed-sign
+        recover(p, 0)  # generator (1, -1) is mixed-sign
     p = EnumerationProblem(dim=3, equations=((1, -1, 0),), groups=())
     with pytest.raises(InternalError):
-        recover(p, zero_set([], 3))  # nullity 2 again, on other columns
+        recover(p, 0)  # nullity 2 again, on other columns
 
 
 def test_vertex_bytes():
@@ -618,9 +658,9 @@ def test_every_working_vertex_is_compatible_on_its_own(name):
             parse_triangulation((FIXTURES / f"{name}.tri").read_text())
         )
     needs = group_needs(problem.groups)
-    _, stats = run(problem, trace_zeros=True)
-    assert len(stats.zeros_trace) == len(problem.equations) + 1
-    for stage in stats.zeros_trace:
+    _, _, trace = run_tracing_zero_sets(problem)
+    assert len(trace) == len(problem.equations)
+    for stage in [[v.mask for v in init_vertices(problem, "inner")], *trace]:
         assert all(compatible(mask, needs) for mask in stage)
 
 
@@ -695,6 +735,7 @@ def reference_step(state, k):
     values = hyperplane_values(state, k)
     drop = state.remaining.index(k) if cfg.representation == "inner" else None
     needs = group_needs(problem.groups) if cfg.filtering else []
+    need = prefilter_need(cfg.dim_prefilter, len(state.processed), state.sep, problem.dim)
     masks = [v.mask for v in state.vertices]
     out, pos, neg = [], [], []
     for v, t in zip(state.vertices, values):
@@ -709,8 +750,7 @@ def reference_step(state, k):
             if not compatible(inter, needs):
                 continue
             compatible_pairs += 1
-            count = inter.bit_count()
-            if not prefilter_pass(count, len(state.processed), state.sep, cfg.dim_prefilter, problem.dim):
+            if inter.bit_count() < need:
                 continue
             if brute_adjacent(u.mask, w.mask, masks):
                 out.append(combine(u, w, a, b, drop))

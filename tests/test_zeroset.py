@@ -1,18 +1,10 @@
 """Tests for bitmask zero-set bookkeeping."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conedd.dd_engine import Vertex, vertex_bytes
-from conedd.zeroset import (
-    ZeroSet,
-    compatible,
-    group_mask,
-    group_needs,
-    zero_mask,
-    zeroset_of,
-)
+from conedd.zeroset import group_mask, zero_mask
 
 
 def bits_of(indices):
@@ -20,23 +12,12 @@ def bits_of(indices):
 
 
 def test_zeroset_of_example():
-    z = zeroset_of((0, 3, 0, 0, 1, 0, 2))
-    assert z.indices() == (0, 2, 3, 5)
-    assert z.bits == zero_mask((0, 3, 0, 0, 1, 0, 2)) == 0b101101
-    assert 0 in z and 4 not in z
+    assert zero_mask((0, 3, 0, 0, 1, 0, 2)) == bits_of([0, 2, 3, 5]) == 0b101101
 
 
 def test_zeroset_of_all_zero():
-    z = zeroset_of((0, 0, 0))
-    assert z == ZeroSet(0b111, 3)
-    assert z.indices() == (0, 1, 2)
-
-
-def test_bits_validation():
-    with pytest.raises(ValueError):
-        ZeroSet(bits=1 << 7, dim=7)
-    with pytest.raises(ValueError):
-        ZeroSet(bits=-1, dim=3)
+    assert zero_mask((0, 0, 0)) == 0b111
+    assert zero_mask(()) == 0
 
 
 def test_words_counts_64_bit_blocks():
@@ -52,31 +33,15 @@ def test_group_mask():
     assert group_mask(()) == 0
 
 
-def test_group_satisfied_examples():
-    needs = group_needs(((4, 5, 6),))
-    assert needs == [(0b1110000, 2)]
-    assert compatible(bits_of([4, 5, 6]), needs)
-    assert compatible(bits_of([4, 5]), needs)
-    assert not compatible(bits_of([4]), needs)
-    assert not compatible(bits_of([0, 1, 2, 3]), needs)
-
-
-def test_group_satisfied_multiple_groups():
-    needs = group_needs(((0, 1, 2), (3, 4, 5)))
-    assert compatible(bits_of([0, 1, 3, 4]), needs)
-    assert not compatible(bits_of([0, 1, 3]), needs)
-    assert compatible(0, group_needs(()))
-
-
 coords = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40)
 
 
 @given(coords)
 def test_zeroset_matches_definition(v):
-    z = zeroset_of(tuple(v))
-    assert z.bits == zero_mask(v)
+    bits = zero_mask(v)
+    assert bits >> len(v) == 0
     for i, x in enumerate(v):
-        assert (i in z) == (x == 0)
+        assert (bits >> i & 1 == 1) == (x == 0)
 
 
 @given(coords, st.data())
