@@ -27,10 +27,17 @@ only.
 The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
 set contains a key, and both pair filters, the group filter and the
-combinatorial adjacency test, are that query (see `step`).  The
-dimensional prefilter is one threshold per stage (`prefilter_need`) that a
-pair's common zero count must reach.  `RunStats.compatible_counts` records
-the compatible pairs of each stage; `pair_counts` stays |S_+| * |S_-|.
+combinatorial adjacency test, are that query (see `step`).  Before the
+adjacency test asks the index, it tries a hint: the last witness found for
+the same u.  Most tested pairs are non-adjacent with many witnesses, and
+the partners of one u are walked in ascending order, so the witness that
+killed the previous pair usually kills the next one too.  The answer stays
+exact, since any zero set of V_{i-1} that contains Z(u) & Z(w) and is not a
+copy of Z(u) or Z(w) is a witness.  The dimensional prefilter is one
+threshold per stage (`prefilter_need`) that a pair's common zero count must
+reach.  `RunStats.compatible_counts` records the compatible pairs of each
+stage, `witness_hits` the tested pairs the hint decided; `pair_counts`
+stays |S_+| * |S_-|.
 
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.
@@ -96,6 +103,7 @@ class RunStats:
     sizes: list[int] = field(default_factory=list)
     pair_counts: list[int] = field(default_factory=list)
     compatible_counts: list[int] = field(default_factory=list)
+    witness_hits: list[int] = field(default_factory=list)
     sep_trace: list[int] = field(default_factory=list)
     mem_trace: list[int] = field(default_factory=list)
     order: tuple[int, ...] = ()
@@ -277,19 +285,27 @@ def group_partners(
 
 
 def adjacent_combinatorial(
-    u_mask: int, w_mask: int, masks: Sequence[int], containing: Callable[[int], int]
-) -> bool:
-    """Combinatorial adjacency test over the zero sets of V_{i-1}: true iff
-    every position whose zero set contains Z(u) & Z(w) holds a copy of Z(u)
-    or Z(w).  `containing` is the `zero_index` of `masks`."""
-    cand = containing(u_mask & w_mask)
+    u_mask: int, w_mask: int, masks: Sequence[int], containing: Callable[[int], int], hint: int
+) -> Optional[int]:
+    """Combinatorial adjacency test over the zero sets of V_{i-1}: a witness,
+    the zero set of a position that contains Z(u) & Z(w) and is a copy of
+    neither Z(u) nor Z(w), or None when there is none and the pair is
+    adjacent.  `containing` is the `zero_index` of `masks`.
+
+    `hint` must be one of `masks`.  It is returned, without asking the
+    index, when it is a witness itself.  A witness can be 0, so test the
+    result with `is None`."""
+    key = u_mask & w_mask
+    if hint & key == key and hint != u_mask and hint != w_mask:
+        return hint
+    cand = containing(key)
     while cand:
         low = cand & -cand
         z = masks[low.bit_length() - 1]
         if z != u_mask and z != w_mask:
-            return False
+            return z
         cand ^= low
-    return True
+    return None
 
 
 def restrict(rows: Sequence[Row], mask: int, dim: int) -> tuple[list[Row], list[int]]:
@@ -363,6 +379,11 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     and the adjacency test (`adjacent_combinatorial`; the rank test under
     `alg`).  `sep` grows by one exactly when both sides are non-empty.
 
+    Under `comb` the adjacency test gets a hint, `last`: the witness last
+    found for the current u, reset to Z(u) (never a witness) for each new
+    u.  A returned witness equal to `last` is one the hint supplied, since
+    the hint is tried first; those pairs are counted in `witness_hits`.
+
     The group filter relies on every vertex being compatible on its own.
     With filtering on this always holds: the unit rays have one non-zero
     each, S_0 carries over, and only compatible pairs are combined.
@@ -391,6 +412,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             s_neg |= 1 << i
 
     compatible_count = 0
+    witness_hits = 0
     if s_pos and s_neg:
         masks = [v.mask for v in vertices]
         containing = zero_index(masks)
@@ -402,6 +424,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             u_mask = u.mask
             partners = partners_of(u_mask)
             compatible_count += partners.bit_count()
+            last = u_mask
             base = -1
             while partners:  # ascending positions, one chunk at a time
                 chunk = partners & _CHUNK
@@ -415,7 +438,13 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     if zero_count < need:
                         continue
                     if comb:
-                        adjacent = adjacent_combinatorial(u_mask, w_mask, masks, containing)
+                        witness = adjacent_combinatorial(u_mask, w_mask, masks, containing, last)
+                        adjacent = witness is None
+                        if not adjacent:
+                            if witness == last:
+                                witness_hits += 1
+                            else:
+                                last = witness
                     else:
                         adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed, rows)
                     if pair_audit is not None:
@@ -428,6 +457,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     stats = state.stats
     stats.pair_counts.append(len(s_pos) * s_neg.bit_count())
     stats.compatible_counts.append(compatible_count)
+    stats.witness_hits.append(witness_hits)
     stats.sep_trace.append(sep)
     stats.record(new_vertices, d)
     remaining = state.remaining[:position] + state.remaining[position + 1:]

@@ -1,5 +1,6 @@
 """Tests for the incremental enumeration engine."""
 
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -135,9 +136,11 @@ def test_extended_no_weaker_than_basic():
 
 
 def adjacency_over(masks):
-    """The combinatorial adjacency test over the zero sets `masks`."""
+    """The combinatorial adjacency test over the zero sets `masks`, with the
+    hint `step` gives the first pair of each u: Z(u), which is never a
+    witness."""
     containing = zero_index(masks)
-    return lambda u, w: adjacent_combinatorial(u, w, masks, containing)
+    return lambda u, w: adjacent_combinatorial(u, w, masks, containing, u) is None
 
 
 def test_adjacent_combinatorial_unit_rays():
@@ -263,12 +266,54 @@ def test_zero_index_edge_cases():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_witness_index_matches_the_linear_scan(dim, data):
-    """`adjacent_combinatorial` on a `zero_index` equals the linear scan."""
+    """`adjacent_combinatorial` on a `zero_index` decides adjacency as the
+    linear scan does, whatever mask of V_{i-1} the hint is (a witness, a
+    copy of Z(u) or Z(w), Z(u) itself, a mask missing the key), and what it
+    returns is a witness."""
     masks = data.draw(witness_masks(dim))
-    adjacent = adjacency_over(masks)
+    containing = zero_index(masks)
     for u in masks:
         for w in masks:
-            assert adjacent(u, w) == brute_adjacent(u, w, masks), (u, w)
+            key = u & w
+            for hint in masks:
+                witness = adjacent_combinatorial(u, w, masks, containing, hint)
+                assert (witness is None) == brute_adjacent(u, w, masks), (u, w, hint)
+                if witness is not None:
+                    assert witness in masks and witness & key == key
+                    assert witness not in (u, w)
+                    # The hint is tried first: it is returned iff it is a witness.
+                    assert (witness == hint) == (hint & key == key and hint not in (u, w))
+
+
+def test_hinted_adjacency_edge_cases():
+    u, w = 0b0110, 0b1100
+    masks = [u, w, u, w, 0b0001]
+    containing = zero_index(masks)
+    # Copies of Z(u) and Z(w) contain the key but are never returned, and
+    # neither is a hint that misses it.
+    for hint in masks:
+        assert adjacent_combinatorial(u, w, masks, containing, hint) is None
+    masks = [u, w, 0b1111, 0b0100]
+    containing = zero_index(masks)
+    assert adjacent_combinatorial(u, w, masks, containing, 0b0100) == 0b0100
+    assert adjacent_combinatorial(u, w, masks, containing, u) == 0b1111  # the index's first
+    # Key 0 and the only witness 0: the result is 0, not None.
+    masks = [0b10, 0b01, 0]
+    containing = zero_index(masks)
+    assert adjacent_combinatorial(0b10, 0b01, masks, containing, 0b10) == 0
+    assert adjacent_combinatorial(0b10, 0b01, masks, containing, 0) == 0
+
+
+def test_step_reads_a_zero_witness_as_non_adjacent():
+    """A witness whose zero set is empty still kills the pair: e0 and e1
+    lie on either side of x0 = x1, and their common zero set (empty) is
+    contained in that of (1, 1), which lies on it."""
+    problem = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
+    config = RunConfig(representation="full", dim_prefilter="off")
+    vertices = [vertex((1, 0)), vertex((0, 1)), vertex((1, 1))]
+    after = step(EngineState(problem, config, vertices, [], [0], 0, RunStats()), 0)
+    assert after.vertices == [vertex((1, 1))]
+    assert after.stats.witness_hits == [0]
 
 
 def test_witness_index_ignores_duplicates_of_the_pair():
@@ -589,16 +634,26 @@ LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri")
 LOOP12 = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri").read_text()))
 
 
+def run_audited(problem, config=None):
+    """`run`, plus the adjacency answer of every tested pair in order.  Also
+    checks that, per stage, the hint decides only non-adjacent pairs."""
+    answers, non_adjacent = [], Counter()
+
+    def audit(processed_count, sep_before, zero_count, adjacent):
+        answers.append(adjacent)
+        non_adjacent[processed_count] += not adjacent
+
+    rays, stats = run(problem, config, pair_audit=audit)
+    assert len(stats.witness_hits) == len(stats.pair_counts)
+    assert all(hits <= non_adjacent[i] for i, hits in enumerate(stats.witness_hits))
+    return rays, stats, answers
+
+
 @pytest.mark.parametrize("representation,peak", [("inner", 41_208), ("full", 192_000)])
 def test_loop9_work_counters_are_pinned(representation, peak):
     """Deterministic work counters on loop9 under the default configuration;
     a change to any predicate or to the memory proxy moves one of them."""
-    audited = []
-    rays, stats = run(
-        LOOP9,
-        RunConfig(representation=representation),
-        pair_audit=lambda *a: audited.append(a[3]),
-    )
+    rays, stats, audited = run_audited(LOOP9, RunConfig(representation=representation))
     assert len(rays) == 77
     assert sum(stats.pair_counts) == 44_656
     # Compatible pairs: the ones the prefilter sees.  The rest of the
@@ -608,20 +663,24 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
     assert stats.sep_trace[-1] == 44
     assert stats.peak_mem_bytes == peak
+    # 2,794 of the 4,593 non-adjacent pairs are decided by the last witness
+    # of the same u, without an index query.
+    assert sum(stats.witness_hits) == 2_794
 
 
 def test_loop12_pair_split_is_pinned():
     """The loop12 pairs by fate: 777,310 in S_+ x S_-, 85,622 compatible,
     12,256 of those rejected by the prefilter, 73,366 tested for adjacency
-    and 11,103 adjacent."""
-    audited = []
-    rays, stats = run(LOOP12, pair_audit=lambda *a: audited.append(a[3]))
+    and 11,103 adjacent.  The last witness of the same u decides 47,456 of
+    the 62,263 non-adjacent ones without an index query."""
+    rays, stats, audited = run_audited(LOOP12)
     assert len(rays) == 323
     assert sum(stats.pair_counts) == 777_310
     assert sum(stats.compatible_counts) == 85_622
     assert sum(stats.compatible_counts) - len(audited) == 12_256
     assert (len(audited), sum(audited)) == (73_366, 11_103)
     assert stats.max_vertex_count == 1_585
+    assert sum(stats.witness_hits) == 47_456
 
 
 def test_compatible_counts_equal_a_brute_force_count():
