@@ -27,17 +27,18 @@ only.
 The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
 set contains a key, and both pair filters, the group filter and the
-combinatorial adjacency test, are that query (see `step`).  Before the
-adjacency test asks the index, it tries a hint: the last witness found for
-the same u.  Most tested pairs are non-adjacent with many witnesses, and
-the partners of one u are walked in ascending order, so the witness that
-killed the previous pair usually kills the next one too.  The answer stays
-exact, since any zero set of V_{i-1} that contains Z(u) & Z(w) and is not a
-copy of Z(u) or Z(w) is a witness.  The dimensional prefilter is one
-threshold per stage (`prefilter_need`) that a pair's common zero count must
-reach.  `RunStats.compatible_counts` records the compatible pairs of each
-stage, `witness_hits` the tested pairs the hint decided; `pair_counts`
-stays |S_+| * |S_-|.
+combinatorial adjacency test, are that query (see `step`).  It keeps a
+`bytes` column per 8-bit chunk and answers a miss in C, with
+`bytes.translate` and `int(_, 2)`.  Before the adjacency test asks the index,
+it tries a hint: the last witness found for the same u.  Most tested pairs
+are non-adjacent with many witnesses, and the partners of one u are walked in
+ascending order, so the witness that killed the previous pair usually kills
+the next one too.  The answer stays exact, since any zero set of V_{i-1} that
+contains Z(u) & Z(w) and is not a copy of Z(u) or Z(w) is a witness.  The
+dimensional prefilter is one threshold per stage (`prefilter_need`) that a
+pair's common zero count must reach.  `RunStats.compatible_counts` records
+the compatible pairs of each stage, `witness_hits` the tested pairs the hint
+decided; `pair_counts` stays |S_+| * |S_-|.
 
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.
@@ -116,9 +117,13 @@ class RunStats:
         return max(self.sizes) if self.sizes else 0
 
     def record(self, vertices: Sequence[Vertex], dim: int) -> None:
-        """Append the size and memory proxy of a stage."""
+        """Append the size and memory proxy (`vertex_bytes`, in bulk) of a stage."""
         self.sizes.append(len(vertices))
-        self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
+        lists = [v.values for v in vertices if v.values]
+        if lists and not (-_ONE_LIMB < min(map(min, lists)) and max(map(max, lists)) < _ONE_LIMB):
+            self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
+        else:
+            self.mem_trace.append(8 * (len(vertices) * ((dim + 63) // 64) + sum(map(len, lists))))
 
 
 @dataclass
@@ -144,6 +149,8 @@ _ONE_LIMB = 1 << 64
 # the bit tricks run on one-digit ints (CPython's digit is 30 bits).
 _CHUNK_BITS = 30
 _CHUNK = (1 << _CHUNK_BITS) - 1
+# _SUPERSETS[b] translates a chunk value v to b"1" if v contains b, else b"0".
+_SUPERSETS = [bytes(b"01"[v & b == b] for v in range(256)) for b in range(256)]
 
 
 def vertex_bytes(v: Vertex, dim: int) -> int:
@@ -210,19 +217,16 @@ def zero_index(masks: Sequence[int]) -> Callable[[int], int]:
     `masks[i] & key == key`.  A key with a bit above every mask is contained
     in no mask, and key 0 in every one.
 
-    Masks are split into 8-bit chunks, and each chunk value maps to the
-    bitset of positions that have it.  A query starts from every position
-    and, for each non-zero chunk of the key, keeps the positions whose chunk
-    contains it; the union of those buckets is memoised per (chunk, key), so
-    the group filter and the adjacency test share the misses of a stage.
+    Masks are split into 8-bit chunks, one `bytes` column per chunk with
+    the positions reversed.  A query keeps, for each non-zero chunk of the
+    key, the positions whose chunk contains it: the column `translate`d to
+    0s and 1s and read by `int(_, 2)`, so that position i is bit i.  These
+    are memoised per (chunk, key), so both pair filters share the misses.
     """
     everything = (1 << len(masks)) - 1
     width = (max(masks, default=0).bit_length() + 7) // 8
-    buckets: list[dict[int, int]] = [{} for _ in range(width)]
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        for bucket, value in zip(buckets, mask.to_bytes(width, "little")):
-            bucket[value] = bucket.get(value, 0) | bit
+    rows = b"".join(mask.to_bytes(width, "little") for mask in reversed(masks))
+    columns = [rows[c::width] for c in range(width)]
     # memo[chunk << 8 | key]: the positions whose chunk contains key.
     memo: list[Optional[int]] = [None] * (width << 8)
     slots = range(0, width << 8, 256)
@@ -237,11 +241,7 @@ def zero_index(masks: Sequence[int]) -> Callable[[int], int]:
                 slot |= byte
                 sup = memo[slot]
                 if sup is None:
-                    sup = 0
-                    for value, bits in buckets[slot >> 8].items():
-                        if value & byte == byte:
-                            sup |= bits
-                    memo[slot] = sup
+                    sup = memo[slot] = int(columns[slot >> 8].translate(_SUPERSETS[byte]), 2)
                 cand &= sup
         return cand
 

@@ -1,5 +1,6 @@
 """Tests for the incremental enumeration engine."""
 
+import random
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -260,6 +261,21 @@ def test_zero_index_edge_cases():
     assert containing(0b100) == 0
     assert containing(1 << 8 | 1) == 0
     assert containing(1 << 200) == 0
+    # All-zero masks: no chunk columns at all (width 0).
+    containing = zero_index([0, 0, 0])
+    assert containing(0) == 0b111
+    assert containing(1) == containing(1 << 7) == containing(1 << 100) == 0
+    # 5,000 positions: a translated column is a 5,000-digit base-2 string,
+    # past CPython's 4,300-digit limit on int parsing, which exempts base 2.
+    rng = random.Random(8)
+    masks = [rng.getrandbits(84) for _ in range(5_000)]
+    containing = zero_index(masks)
+    keys = [0, 1 << 83, (1 << 84) - 1]
+    keys += [rng.choice(masks) & rng.choice(masks) for _ in range(30)]
+    keys += [rng.choice(masks) & rng.getrandbits(84) for _ in range(30)]
+    keys += [1 << rng.randrange(84) | 1 << rng.randrange(84) for _ in range(30)]
+    for key in keys:
+        assert containing(key) == brute_containing(masks, key), key
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -616,6 +632,22 @@ def test_vertex_bytes():
     assert vertex_bytes(Vertex(0, [-(2**64), 0]), 7) == 8 + 3 * 8
 
 
+def test_stage_memory_proxy_counts_every_limb():
+    """A stage holding a value of two limbs, an empty vertex and small ones
+    is summed vertex by vertex; a stage of one-limb values in bulk."""
+    stage = [Vertex(0b1, [1, -2]), Vertex(0b11, [2**64, 3]), Vertex(0b111, []), Vertex(0, [0])]
+    stats = RunStats()
+    stats.record(stage, 70)
+    assert stats.mem_trace == [sum(vertex_bytes(v, 70) for v in stage)] == [8 * (4 * 2 + 6)]
+    stats.record(stage[:1] + stage[2:], 70)
+    assert stats.mem_trace[-1] == 8 * (3 * 2 + 3)
+    # The limb boundaries on both sides, as in `vertex_bytes`.
+    for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
+        stats.record([Vertex(0, [1]), Vertex(0, [0, big])], 70)
+        assert stats.mem_trace[-1] == 8 * (2 * 2 + 2 + limbs), big
+    assert stats.sizes == [4, 3, 2, 2, 2, 2]
+
+
 stored = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
@@ -666,6 +698,21 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     # 2,794 of the 4,593 non-adjacent pairs are decided by the last witness
     # of the same u, without an index query.
     assert sum(stats.witness_hits) == 2_794
+
+
+def test_index_agrees_with_the_rank_test_on_loop9():
+    """On loop9's real stages (up to 375 vertices, several index bytes and
+    30-bit partner chunks) the combinatorial test, which asks `zero_index`,
+    and the rank test, which does not, decide every tested pair alike."""
+    seen = {"comb": [], "alg": []}
+    rays = {}
+    for adjacency, audited in seen.items():
+        rays[adjacency], _ = run(
+            LOOP9, RunConfig(adjacency=adjacency), pair_audit=lambda *a: audited.append(a)
+        )
+    assert len(seen["comb"]) == 7_111
+    assert seen["comb"] == seen["alg"]
+    assert rays["comb"] == rays["alg"]
 
 
 def test_loop12_pair_split_is_pinned():
