@@ -38,16 +38,22 @@ contains Z(u) & Z(w) and is not a copy of Z(u) or Z(w) is a witness.  The
 dimensional prefilter is one threshold per stage (`prefilter_need`) that a
 pair's common zero count must reach.  `RunStats.compatible_counts` records
 the compatible pairs of each stage, `witness_hits` the tested pairs the hint
-decided; `pair_counts` stays |S_+| * |S_-|.
+decided; `pair_counts` stays |S_+| * |S_-|.  The group filter's tables
+(`GroupTable`) depend only on the problem's groups, so they are built once
+per run and handed from state to state.
 
 The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
-64-bit limb of every stored value.
+64-bit limb of every stored value.  Its cost follows the vertices a stage
+creates: S_0 keeps values of V_{i-1} (less one entry under `inner`), so
+while every value of V_{i-1} fits in one limb (`EngineState.one_limb`) only
+the new combinations are read.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
@@ -116,21 +122,54 @@ class RunStats:
     def max_vertex_count(self) -> int:
         return max(self.sizes) if self.sizes else 0
 
-    def record(self, vertices: Sequence[Vertex], dim: int) -> None:
-        """Append the size and memory proxy (`vertex_bytes`, in bulk) of a stage."""
+    def record(self, vertices: Sequence[Vertex], dim: int, known: int = 0) -> bool:
+        """Append the size and memory proxy (`vertex_bytes`, in bulk) of a
+        stage, and return whether every stored value fits in one 64-bit limb.
+
+        The values of vertices[:known] must be known to fit in one limb, so
+        only the others are read: one `min` and one `max` per new vertex.  When
+        one of those needs two limbs, `vertex_bytes` is summed over every
+        vertex."""
         self.sizes.append(len(vertices))
-        lists = [v.values for v in vertices if v.values]
+        lists = [values for _, values in vertices[known:] if values]
         if lists and not (-_ONE_LIMB < min(map(min, lists)) and max(map(max, lists)) < _ONE_LIMB):
             self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
-        else:
-            self.mem_trace.append(8 * (len(vertices) * ((dim + 63) // 64) + sum(map(len, lists))))
+            return False
+        stored = sum(map(len, map(itemgetter(1), vertices)))
+        self.mem_trace.append(8 * (len(vertices) * ((dim + 63) // 64) + stored))
+        return True
+
+
+class GroupTable(NamedTuple):
+    """The group filter's tables for one run: `rest` maps each group
+    coordinate, as a single bit, to the other members of its group, and
+    `bits` is the union of those coordinates."""
+
+    rest: dict[int, int]
+    bits: int
+
+    @classmethod
+    def of(cls, groups: Sequence[Sequence[int]]) -> GroupTable:
+        rest: dict[int, int] = {}
+        for group in groups:
+            members = group_mask(group)
+            for j in group:
+                rest[1 << j] = members ^ (1 << j)
+        return cls(rest, sum(rest))  # the keys are distinct single bits
 
 
 @dataclass
 class EngineState:
     """V_i with its bookkeeping.  `processed` lists the hyperplanes in the
     order they were handled; `remaining` lists the others, in the order of
-    the values of an `inner` vertex."""
+    the values of an `inner` vertex.
+
+    `one_limb` is True when every stored value of `vertices` is known to fit
+    in one 64-bit limb, so that the next stage's memory proxy reads only the
+    new vertices; False, the default, means unknown.  `group_table` is the
+    group filter's `GroupTable`, of the problem's groups with filtering on
+    and empty with it off; it is built with the first state of a run and
+    handed on by `step`."""
 
     problem: EnumerationProblem
     config: RunConfig
@@ -139,6 +178,12 @@ class EngineState:
     remaining: list[int]
     sep: int
     stats: RunStats
+    one_limb: bool = False
+    group_table: Optional[GroupTable] = None
+
+    def __post_init__(self) -> None:
+        if self.group_table is None:
+            self.group_table = GroupTable.of(self.problem.groups if self.config.filtering else ())
 
 
 # Pair audit callback: (processed_count, sep_before, zero_count, adjacent).
@@ -186,11 +231,15 @@ def _position(state: EngineState, k: int) -> int:
 
 def hyperplane_values(state: EngineState, k: int) -> list[int]:
     """Value of each vertex of the state against hyperplane k, in order."""
-    i = _position(state, k)  # also rejects a processed hyperplane
+    return _values_at(state, k, _position(state, k))  # also rejects a processed hyperplane
+
+
+def _values_at(state: EngineState, k: int, position: int) -> list[int]:
+    """`hyperplane_values`, given hyperplane k's `_position`."""
     if state.config.representation == "full":
         row = state.problem.equations[k]
         return [dot(row, v.values) for v in state.vertices]
-    return [v.values[i] for v in state.vertices]
+    return [v.values[position] for v in state.vertices]
 
 
 def prefilter_need(mode: str, processed_count: int, sep_before: int, dim: int) -> int:
@@ -249,7 +298,7 @@ def zero_index(masks: Sequence[int]) -> Callable[[int], int]:
 
 
 def group_partners(
-    containing: Callable[[int], int], candidates: int, groups: Sequence[Sequence[int]]
+    containing: Callable[[int], int], candidates: int, table: GroupTable
 ) -> Callable[[int], int]:
     """The group filter: compatible partners of a vertex among `candidates`,
     a bitset of positions of the index behind `containing`.
@@ -258,15 +307,12 @@ def group_partners(
     w_mask)`, given that u and every candidate are compatible on their own.
     Then each group holds at most one non-zero of u and one of w, so the pair
     is compatible iff, for each group coordinate j where u is non-zero, w is
-    zero on the rest of j's group: w is in `containing(G_j - {j})`.  These
-    sets are memoised per j.  With no groups every candidate is a partner.
+    zero on the rest of j's group: w is in `containing(G_j - {j})`.  The
+    groups come as a `GroupTable`, built once per run; the sets are memoised
+    per j for the index at hand.  With no groups every candidate is a
+    partner.
     """
-    rest: dict[int, int] = {}  # coordinate bit -> the other members of its group
-    for group in groups:
-        members = group_mask(group)
-        for j in group:
-            rest[1 << j] = members ^ (1 << j)
-    group_bits = sum(rest)  # the keys are distinct single bits
+    rest, group_bits = table
     keep: dict[int, int] = {}  # coordinate bit -> positions zero on the rest of its group
 
     def partners(u_mask: int) -> int:
@@ -387,17 +433,21 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     The group filter relies on every vertex being compatible on its own.
     With filtering on this always holds: the unit rays have one non-zero
     each, S_0 carries over, and only compatible pairs are combined.
+
+    The memory proxy of V_i reads the values of S_0 only when
+    `state.one_limb` is False: otherwise they are entries of one-limb
+    values of V_{i-1}.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
     vertices = state.vertices
-    values = hyperplane_values(state, k)
     position = _position(state, k)
+    values = _values_at(state, k, position)
     drop = position if cfg.representation == "inner" else None
     processed_count = len(state.processed)
     sep_before = state.sep
 
-    new_vertices: list[Vertex] = []
+    new_vertices: list[Vertex] = []  # S_0, then the combinations
     s_pos: list[tuple[Vertex, int]] = []
     s_neg = 0  # bitset of V_{i-1} positions
     for i, (v, t) in enumerate(zip(vertices, values)):
@@ -405,18 +455,21 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             if drop is None:
                 new_vertices.append(v)
             else:
-                new_vertices.append(Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
+                kept = v.values.copy()
+                del kept[drop]
+                new_vertices.append(Vertex(v.mask, kept))
         elif t > 0:
             s_pos.append((v, t))
         else:
             s_neg |= 1 << i
 
+    carried = len(new_vertices)
     compatible_count = 0
     witness_hits = 0
     if s_pos and s_neg:
         masks = [v.mask for v in vertices]
         containing = zero_index(masks)
-        partners_of = group_partners(containing, s_neg, problem.groups if cfg.filtering else ())
+        partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
         rows = None if comb else [sparse_row(problem.equations[j]) for j in state.processed]
         need = prefilter_need(cfg.dim_prefilter, processed_count, sep_before, d)
@@ -459,9 +512,12 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     stats.compatible_counts.append(compatible_count)
     stats.witness_hits.append(witness_hits)
     stats.sep_trace.append(sep)
-    stats.record(new_vertices, d)
+    one_limb = stats.record(new_vertices, d, carried if state.one_limb else 0)
     remaining = state.remaining[:position] + state.remaining[position + 1:]
-    return EngineState(problem, cfg, new_vertices, state.processed + [k], remaining, sep, stats)
+    processed = state.processed + [k]
+    return EngineState(
+        problem, cfg, new_vertices, processed, remaining, sep, stats, one_limb, state.group_table
+    )
 
 
 def recover(problem: EnumerationProblem, mask: int, rows: Optional[Sequence[Row]] = None) -> Ray:
@@ -512,8 +568,9 @@ def run(
     d = problem.dim
     vertices = init_vertices(problem, config.representation)
     stats = RunStats()
-    stats.record(vertices, d)
-    state = EngineState(problem, config, vertices, [], list(range(len(problem.equations))), 0, stats)
+    one_limb = stats.record(vertices, d)
+    remaining = list(range(len(problem.equations)))
+    state = EngineState(problem, config, vertices, [], remaining, 0, stats, one_limb)
 
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a zero nullspace generator), not bad input.

@@ -57,15 +57,16 @@ def sparse_row(row: Sequence[int]) -> Row:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _reduce(rows: Iterable[Row], ncols: Optional[int] = None) -> dict[int, Row]:
+def _reduce(rows: Iterable[Row], limit: Optional[int] = None) -> dict[int, Row]:
     """Exact row reduction; returns the pivot rows keyed by their lowest column.
 
     Each row is reduced by the pivot of its lowest column, row <- a*row -
     b*pivot with a, b the pivot entry and the row's entry over their gcd,
     and then divided by the gcd of its entries.  A row that survives becomes
     the pivot of its lowest column.  Only the entries a row holds are
-    touched.  The input rows are not modified.  With `ncols` given the
-    reduction stops once every column has a pivot.
+    touched.  The input rows are not modified.  With `limit` given the
+    reduction stops at that many pivots, leaving the rest of an iterator
+    unread.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
@@ -77,7 +78,7 @@ def _reduce(rows: Iterable[Row], ncols: Optional[int] = None) -> dict[int, Row]:
                 if g != 1:
                     row = {j: x // g for j, x in row.items()}
                 pivots[col] = row
-                if len(pivots) == ncols:
+                if len(pivots) == limit:
                     return pivots
                 break
             a, b = top[col], row[col]
@@ -108,8 +109,13 @@ def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
     `rows` are `{column: value}` rows with columns in range(ncols).  The
     result has gcd 1, and its last non-zero entry, at the one column without
     a pivot, is positive; so it is also fixed by gcd_normalize.
+
+    The reduction stops at the (ncols - 1)-th pivot.  The generator of those
+    pivots is then the answer iff every row not yet reduced vanishes on it,
+    so those rows are only substituted into it.
     """
-    pivots = _reduce(rows, ncols)
+    rows = iter(rows)
+    pivots = _reduce(rows, ncols - 1)
     if ncols - len(pivots) != 1:
         return None
     free_col = next(c for c in range(ncols) if c not in pivots)
@@ -125,4 +131,7 @@ def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
             x = [scale * t for t in x]
             val *= scale
         x[col] = -val // p
-    return gcd_normalize(x)
+    gen = gcd_normalize(x)
+    if any(sum(gen[j] * v for j, v in row.items()) for row in rows):
+        return None
+    return gen

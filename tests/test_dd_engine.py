@@ -14,6 +14,7 @@ from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import (
     PREFILTER_MODES,
     EngineState,
+    GroupTable,
     RunConfig,
     RunStats,
     Vertex,
@@ -372,19 +373,19 @@ def test_partner_index_matches_compatible(dim, data):
     groups, masks, s_neg = data.draw(grouped(dim))
     needs = group_needs(groups)
     containing = zero_index(masks)
-    partners_of = group_partners(containing, s_neg, groups)
+    partners_of = group_partners(containing, s_neg, GroupTable.of(groups))
     negatives = bits_at(s_neg, len(masks))
     for u in masks:
         want = [i for i in negatives if compatible(u & masks[i], needs)]
         assert bits_at(partners_of(u), len(masks)) == want
     # With filtering off every vertex of S_- is a partner.
-    unfiltered = group_partners(containing, s_neg, ())
+    unfiltered = group_partners(containing, s_neg, GroupTable.of(()))
     for u in masks:
         assert unfiltered(u) == s_neg
 
 
 def test_partner_index_edge_cases():
-    groups = [(0, 1, 2), (3,)]
+    groups = GroupTable.of([(0, 1, 2), (3,)])
     clean, other, zero = 0b1110, 0b1101, 0b1111  # non-zero at 0 / at 1 / neither
     containing = zero_index([clean, other, clean, zero])
     assert group_partners(containing, 0, groups)(clean) == 0  # empty S_-
@@ -648,6 +649,100 @@ def test_stage_memory_proxy_counts_every_limb():
     assert stats.sizes == [4, 3, 2, 2, 2, 2]
 
 
+def problem_named(name):
+    if name == "gieseking":
+        return GIESEKING
+    text = (FIXTURES / f"{name}.tri").read_text()
+    return standard_matching_equations(parse_triangulation(text))
+
+
+def two_limb_cone(seed):
+    """A seeded cone on 9 coordinates.  Three sparse rows with coefficients
+    of 41 bits act on coordinates 0-5, so their combinations get values of
+    two limbs; the fourth row, positive on 0-5, then leaves only vertices on
+    6-8, and the fifth is small."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(3):
+        row = [0] * 9
+        for j in rng.sample(range(6), 3):
+            row[j] = rng.choice([-1, 1]) * rng.randrange(1 << 40, 1 << 41)
+        rows.append(tuple(row))
+    rows.append((1,) * 6 + (0, 0, 0))
+    rows.append((0,) * 6 + (1, 1, -1))
+    return EnumerationProblem(9, tuple(rows), ())
+
+
+def check_stage_memory_proxy(problem, config):
+    """Run with a `stage_hook` that recomputes the memory proxy of every
+    stage from `vertex_bytes` and checks the stage's one-limb verdict.
+    Returns the transitions of two-limb values seen: "appear" (a new vertex
+    has one while V_{i-1} had none), "carried" (an S_0 vertex has one) and
+    "disappear" (V_{i-1} had one, V_i has none)."""
+    seen = set()
+    prev = [initial_state(problem, config.representation)]  # V_0, as `run` builds it
+
+    def two_limbs(vertices):
+        return any(not -(2**64) < x < 2**64 for v in vertices for x in v.values)
+
+    def hook(state):
+        d = problem.dim
+        assert state.stats.mem_trace[-1] == sum(vertex_bytes(v, d) for v in state.vertices)
+        assert state.one_limb == (not two_limbs(state.vertices))
+        before, k = prev[-1], state.processed[-1]
+        carried = hyperplane_values(before, k).count(0)  # S_0 leads V_i
+        if not two_limbs(before.vertices) and two_limbs(state.vertices[carried:]):
+            seen.add("appear")
+        if two_limbs(state.vertices[:carried]):
+            seen.add("carried")
+        if two_limbs(before.vertices) and not two_limbs(state.vertices):
+            seen.add("disappear")
+        prev.append(state)
+
+    _, stats = run(problem, config, stage_hook=hook)
+    assert len(prev) == len(problem.equations) + 1
+    assert stats.mem_trace[0] == sum(vertex_bytes(v, problem.dim) for v in prev[0].vertices)
+    return seen
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+@pytest.mark.parametrize(
+    "name,filtering",
+    [(name, True) for name in ("gieseking", "onetet", "s2xs1", "loop9")]
+    + [(name, False) for name in ("gieseking", "onetet", "s2xs1")],
+)
+def test_stage_memory_proxy_equals_a_full_recount(name, filtering, representation):
+    """The proxy of every stage, which reads only the new vertices once V_{i-1}
+    is known to hold one-limb values, equals the sum of `vertex_bytes`."""
+    config = RunConfig(representation=representation, filtering=filtering)
+    assert check_stage_memory_proxy(problem_named(name), config) == set()
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+def test_stage_memory_proxy_follows_two_limb_values(representation):
+    """Two-limb values appear in new combinations, are carried in S_0 and
+    disappear again, so `record` takes both branches, and the verdict
+    returns to one limb for the last stage."""
+    config = RunConfig(representation=representation, ordering=parse_strategy("input"))
+    assert check_stage_memory_proxy(two_limb_cone(10), config) == {"appear", "carried", "disappear"}
+
+
+def test_hand_built_state_gets_a_full_memory_scan():
+    """A state built without a verdict is read in full: the S_0 vertex e_2
+    keeps its two-limb product with the second row.  Claiming one limb for
+    V_0 skips reading the S_0 values, which is what the verdict is for."""
+    problem = EnumerationProblem(3, ((1, -1, 0), (0, 0, 2**70)), ())
+    state = initial_state(problem, "inner")
+    assert state.one_limb is False
+    after = step(state, 0)
+    assert [v.values for v in after.vertices] == [[2**70], [0]]
+    assert after.stats.mem_trace == [8 * (2 * 1 + 2 + 1)]
+    assert after.one_limb is False
+    trusted = initial_state(problem, "inner")
+    trusted.one_limb = True
+    assert step(trusted, 0).stats.mem_trace == [8 * (2 * 1 + 1 + 1)]
+
+
 stored = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
@@ -757,12 +852,7 @@ def test_compatible_counts_equal_a_brute_force_count():
 def test_every_working_vertex_is_compatible_on_its_own(name):
     """The invariant the group filter relies on: with filtering on, every
     vertex of every stage has at most one non-zero per group."""
-    if name == "gieseking":
-        problem = GIESEKING
-    else:
-        problem = standard_matching_equations(
-            parse_triangulation((FIXTURES / f"{name}.tri").read_text())
-        )
+    problem = problem_named(name)
     needs = group_needs(problem.groups)
     _, _, trace = run_tracing_zero_sets(problem)
     assert len(trace) == len(problem.equations)

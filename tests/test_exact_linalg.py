@@ -270,9 +270,12 @@ def test_reduction_matches_gauss_jordan_dense(case):
 )
 def test_last_row_breaks_nullity_one(case):
     """Rows orthogonal to v have nullity >= 1; when it is exactly 1, one more
-    row not orthogonal to v must make the generator None."""
+    row not orthogonal to v must make the generator None, wherever it sits.
+    Placed after the row that gives the last pivot needed, it is never
+    reduced, only substituted into the generator."""
     v, raw, last = case
     vv = sum(x * x for x in v)
     rows = [tuple(vv * a - dot(r, v) * b for a, b in zip(r, v)) for r in raw]
     if _check_against_reference(rows, len(v)) == 1 and dot(last, v) != 0:
-        assert nullspace_generator(sparse(rows + [last]), len(v)) is None
+        for at in range(len(rows) + 1):
+            assert nullspace_generator(sparse(rows[:at] + [last] + rows[at:]), len(v)) is None
