@@ -114,7 +114,7 @@ def _bench_row(
             peak_mem_bytes=stats.peak_mem_bytes,
             max_vi=stats.max_vertex_count,
             final_count=stats.final_count,
-            sep_g=stats.sep_trace[-1] if stats.sep_trace else 0,
+            sep_g=stats.stages[-1].sep if stats.stages else 0,
         )
     return row
 

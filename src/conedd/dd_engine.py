@@ -36,13 +36,16 @@ ascending order, so the witness that killed the previous pair usually kills
 the next one too.  The answer stays exact, since any zero set of V_{i-1} that
 contains Z(u) & Z(w) and is not a copy of Z(u) or Z(w) is a witness.  The
 dimensional prefilter is one threshold per stage (`prefilter_need`) that a
-pair's common zero count must reach.  `RunStats.compatible_counts` records
-the compatible pairs of each stage, `witness_hits` the tested pairs the hint
-decided; `pair_counts` stays |S_+| * |S_-|.  The group filter's tables
+pair's common zero count must reach.  The group filter's tables
 (`GroupTable`) depend only on the problem's groups, so they are built once
 per run and handed from state to state.
 
-The memory proxy (`RunStats.mem_trace`) counts 8 bytes per mask word and per
+Each step appends one `Stage` record to `RunStats.stages`, with the
+compatible, tested and hint-decided pairs next to |S_0|, |S_+|, |S_-|,
+|V_i| and the memory proxy.  The pairs of S_+ x S_-, the adjacent pairs and
+`RunStats`'s run-wide figures are derived from the records.
+
+The memory proxy (`stage_bytes`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.  Its cost follows the vertices a stage
 creates: S_0 keeps values of V_{i-1} (less one entry under `inner`), so
 while every value of V_{i-1} fits in one limb (`EngineState.one_limb`) only
@@ -105,39 +108,72 @@ class RunConfig:
             raise ValueError(f"unknown prefilter mode: {self.dim_prefilter!r}")
 
 
+class Stage(NamedTuple):
+    """What one `step` did: V_{i-1} to V_i across `hyperplane`.
+
+    `s0`, `s_pos` and `s_neg` are |S_0|, |S_+| and |S_-| of V_{i-1};
+    `compatible` counts the pairs of S_+ x S_- the group filter let through
+    (all of them with filtering off), `tested` those that passed the
+    prefilter and reached the adjacency test, and `witness_hits` the tested
+    pairs the last witness of the same u decided (0 under `alg`).  `sep` is
+    the pseudo-separating stage count after this stage, `size` is |V_i| and
+    `mem_bytes` the memory proxy of V_i (`stage_bytes`)."""
+
+    hyperplane: int
+    s0: int
+    s_pos: int
+    s_neg: int
+    compatible: int
+    tested: int
+    witness_hits: int
+    sep: int
+    size: int
+    mem_bytes: int
+
+    @property
+    def pairs(self) -> int:
+        """|S_+| * |S_-|."""
+        return self.s_pos * self.s_neg
+
+    @property
+    def adjacent(self) -> int:
+        """The tested pairs found adjacent: each one adds a vertex to S_0."""
+        return self.size - self.s0
+
+
 @dataclass
 class RunStats:
-    sizes: list[int] = field(default_factory=list)
-    pair_counts: list[int] = field(default_factory=list)
-    compatible_counts: list[int] = field(default_factory=list)
-    witness_hits: list[int] = field(default_factory=list)
-    sep_trace: list[int] = field(default_factory=list)
-    mem_trace: list[int] = field(default_factory=list)
-    order: tuple[int, ...] = ()
+    """One `Stage` per processed hyperplane, plus |V_0| and its memory proxy
+    in `initial`.  The other per-run figures are read-only views over
+    these."""
+
+    initial: tuple[int, int] = (0, 0)
+    stages: list[Stage] = field(default_factory=list)
     elapsed_s: float = 0.0
-    peak_mem_bytes: int = 0
     final_count: int = 0
 
     @property
+    def sizes(self) -> list[int]:
+        """|V_0|, |V_1|, ..."""
+        return [self.initial[0], *(s.size for s in self.stages)]
+
+    @property
+    def pair_counts(self) -> list[int]:
+        """|S_+| * |S_-| of each stage."""
+        return [s.pairs for s in self.stages]
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The hyperplanes in the order they were processed."""
+        return tuple(s.hyperplane for s in self.stages)
+
+    @property
     def max_vertex_count(self) -> int:
-        return max(self.sizes) if self.sizes else 0
+        return max(self.sizes)
 
-    def record(self, vertices: Sequence[Vertex], dim: int, known: int = 0) -> bool:
-        """Append the size and memory proxy (`vertex_bytes`, in bulk) of a
-        stage, and return whether every stored value fits in one 64-bit limb.
-
-        The values of vertices[:known] must be known to fit in one limb, so
-        only the others are read: one `min` and one `max` per new vertex.  When
-        one of those needs two limbs, `vertex_bytes` is summed over every
-        vertex."""
-        self.sizes.append(len(vertices))
-        lists = [values for _, values in vertices[known:] if values]
-        if lists and not (-_ONE_LIMB < min(map(min, lists)) and max(map(max, lists)) < _ONE_LIMB):
-            self.mem_trace.append(sum(vertex_bytes(v, dim) for v in vertices))
-            return False
-        stored = sum(map(len, map(itemgetter(1), vertices)))
-        self.mem_trace.append(8 * (len(vertices) * ((dim + 63) // 64) + stored))
-        return True
+    @property
+    def peak_mem_bytes(self) -> int:
+        return max([self.initial[1], *(s.mem_bytes for s in self.stages)])
 
 
 class GroupTable(NamedTuple):
@@ -207,6 +243,20 @@ def vertex_bytes(v: Vertex, dim: int) -> int:
     else:
         limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
     return 8 * ((dim + 63) // 64 + limbs)
+
+
+def stage_bytes(vertices: Sequence[Vertex], dim: int, known: int = 0) -> tuple[int, bool]:
+    """The memory proxy of a stage, `vertex_bytes` summed in bulk, and
+    whether every stored value fits in one 64-bit limb.
+
+    The values of vertices[:known] must be known to fit in one limb, so only
+    the others are read: one `min` and one `max` per new vertex.  When one of
+    those needs two limbs, `vertex_bytes` is summed over every vertex."""
+    lists = [values for _, values in vertices[known:] if values]
+    if lists and not (-_ONE_LIMB < min(map(min, lists)) and max(map(max, lists)) < _ONE_LIMB):
+        return sum(vertex_bytes(v, dim) for v in vertices), False
+    stored = sum(map(len, map(itemgetter(1), vertices)))
+    return 8 * (len(vertices) * ((dim + 63) // 64) + stored), True
 
 
 def init_vertices(problem: EnumerationProblem, representation: str) -> list[Vertex]:
@@ -436,7 +486,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     The memory proxy of V_i reads the values of S_0 only when
     `state.one_limb` is False: otherwise they are entries of one-limb
-    values of V_{i-1}.
+    values of V_{i-1}.  The step's counts go into one `Stage`, appended to
+    `state.stats`.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
@@ -465,6 +516,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     carried = len(new_vertices)
     compatible_count = 0
+    tested = 0
     witness_hits = 0
     if s_pos and s_neg:
         masks = [v.mask for v in vertices]
@@ -490,6 +542,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     zero_count = (u_mask & w_mask).bit_count()
                     if zero_count < need:
                         continue
+                    tested += 1
                     if comb:
                         witness = adjacent_combinatorial(u_mask, w_mask, masks, containing, last)
                         adjacent = witness is None
@@ -507,12 +560,12 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                 base += _CHUNK_BITS
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
+    mem_bytes, one_limb = stage_bytes(new_vertices, d, carried if state.one_limb else 0)
     stats = state.stats
-    stats.pair_counts.append(len(s_pos) * s_neg.bit_count())
-    stats.compatible_counts.append(compatible_count)
-    stats.witness_hits.append(witness_hits)
-    stats.sep_trace.append(sep)
-    one_limb = stats.record(new_vertices, d, carried if state.one_limb else 0)
+    stats.stages.append(Stage(
+        k, carried, len(s_pos), s_neg.bit_count(), compatible_count,
+        tested, witness_hits, sep, len(new_vertices), mem_bytes,
+    ))
     remaining = state.remaining[:position] + state.remaining[position + 1:]
     processed = state.processed + [k]
     return EngineState(
@@ -567,8 +620,8 @@ def run(
     start = time.perf_counter()
     d = problem.dim
     vertices = init_vertices(problem, config.representation)
-    stats = RunStats()
-    one_limb = stats.record(vertices, d)
+    mem_bytes, one_limb = stage_bytes(vertices, d)
+    stats = RunStats((len(vertices), mem_bytes))
     remaining = list(range(len(problem.equations)))
     state = EngineState(problem, config, vertices, [], remaining, 0, stats, one_limb)
 
@@ -596,8 +649,6 @@ def run(
         raise InternalError(f"invariant failed during the run: {exc}") from exc
     rays = [Ray(c) for c in sorted({r.coords for r in finals})]
 
-    stats.order = tuple(state.processed)
     stats.elapsed_s = time.perf_counter() - start
-    stats.peak_mem_bytes = max(stats.mem_trace) if stats.mem_trace else 0
     stats.final_count = len(rays)
     return rays, stats

@@ -168,7 +168,7 @@ def test_representations_lockstep_on_fixtures():
             bad.append(f"{name}: zero-set traces differ")
         if [r.coords for r in rays_f] != [r.coords for r in rays_i]:
             bad.append(f"{name}: final rays differ")
-        if any(mi > mf for mf, mi in zip(st_f.mem_trace[1:], st_i.mem_trace[1:])):
+        if any(i.mem_bytes > f.mem_bytes for f, i in zip(st_f.stages, st_i.stages)):
             bad.append(f"{name}: inner memory proxy exceeds full")
     report("representation-crosscheck", not bad, "; ".join(bad) or "4 fixtures")
 

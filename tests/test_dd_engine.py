@@ -27,6 +27,7 @@ from conedd.dd_engine import (
     prefilter_need,
     recover,
     run,
+    stage_bytes,
     step,
     vertex_bytes,
     zero_index,
@@ -330,7 +331,7 @@ def test_step_reads_a_zero_witness_as_non_adjacent():
     vertices = [vertex((1, 0)), vertex((0, 1)), vertex((1, 1))]
     after = step(EngineState(problem, config, vertices, [], [0], 0, RunStats()), 0)
     assert after.vertices == [vertex((1, 1))]
-    assert after.stats.witness_hits == [0]
+    assert after.stats.stages[-1].witness_hits == 0
 
 
 def test_witness_index_ignores_duplicates_of_the_pair():
@@ -471,12 +472,12 @@ def test_gieseking_default_run():
     rays, stats = run(GIESEKING)
     assert coords_of(rays) == GIESEKING_FILTERED
     assert stats.sizes == [7, 5, 4, 3, 2, 1]
-    assert stats.sep_trace == [1, 2, 3, 3, 4]
+    assert [s.sep for s in stats.stages] == [1, 2, 3, 3, 4]
     assert stats.pair_counts == [1, 2, 1, 0, 1]
     assert stats.order == (0, 1, 2, 3, 4)
     assert stats.max_vertex_count == 7
     assert stats.final_count == 1
-    assert stats.peak_mem_bytes == max(stats.mem_trace)
+    assert stats.peak_mem_bytes == stats.initial[1] == 336  # V_0: 7 masks, 5 products each
 
 
 def test_gieseking_unfiltered_run():
@@ -484,7 +485,7 @@ def test_gieseking_unfiltered_run():
     rays, stats = run(GIESEKING, cfg)
     assert coords_of(rays) == GIESEKING_UNFILTERED
     assert stats.sizes == [7, 6, 6, 5, 3, 2]
-    assert stats.sep_trace == [1, 2, 3, 4, 5]
+    assert [s.sep for s in stats.stages] == [1, 2, 3, 4, 5]
     assert stats.pair_counts == [1, 4, 2, 1, 1]
 
 
@@ -558,8 +559,8 @@ def test_inner_full_lockstep():
     assert coords_of(rays_i) == GIESEKING_FILTERED
     # The inner representation stores g - i products per vertex, never more
     # than the d coordinates, so its stage footprint is no larger.
-    for mf, mi in zip(st_full.mem_trace[1:], st_inner.mem_trace[1:]):
-        assert mi <= mf
+    for full, inner in zip(st_full.stages, st_inner.stages):
+        assert inner.mem_bytes <= full.mem_bytes
 
 
 def test_pair_audit_sees_every_pair_without_prefilter():
@@ -637,16 +638,20 @@ def test_stage_memory_proxy_counts_every_limb():
     """A stage holding a value of two limbs, an empty vertex and small ones
     is summed vertex by vertex; a stage of one-limb values in bulk."""
     stage = [Vertex(0b1, [1, -2]), Vertex(0b11, [2**64, 3]), Vertex(0b111, []), Vertex(0, [0])]
-    stats = RunStats()
-    stats.record(stage, 70)
-    assert stats.mem_trace == [sum(vertex_bytes(v, 70) for v in stage)] == [8 * (4 * 2 + 6)]
-    stats.record(stage[:1] + stage[2:], 70)
-    assert stats.mem_trace[-1] == 8 * (3 * 2 + 3)
+    total = sum(vertex_bytes(v, 70) for v in stage)
+    assert stage_bytes(stage, 70) == (total, False) == (8 * (4 * 2 + 6), False)
+    assert stage_bytes(stage[:1] + stage[2:], 70) == (8 * (3 * 2 + 3), True)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        stats.record([Vertex(0, [1]), Vertex(0, [0, big])], 70)
-        assert stats.mem_trace[-1] == 8 * (2 * 2 + 2 + limbs), big
-    assert stats.sizes == [4, 3, 2, 2, 2, 2]
+        got = stage_bytes([Vertex(0, [1]), Vertex(0, [0, big])], 70)
+        assert got == (8 * (2 * 2 + 2 + limbs), limbs == 1), big
+
+
+# The fixture runs that finish: every fixture filtered, and all but loop9
+# unfiltered.
+FIXTURE_RUNS = [(name, True) for name in ("gieseking", "onetet", "s2xs1", "loop9")] + [
+    (name, False) for name in ("gieseking", "onetet", "s2xs1")
+]
 
 
 def problem_named(name):
@@ -687,7 +692,7 @@ def check_stage_memory_proxy(problem, config):
 
     def hook(state):
         d = problem.dim
-        assert state.stats.mem_trace[-1] == sum(vertex_bytes(v, d) for v in state.vertices)
+        assert state.stats.stages[-1].mem_bytes == sum(vertex_bytes(v, d) for v in state.vertices)
         assert state.one_limb == (not two_limbs(state.vertices))
         before, k = prev[-1], state.processed[-1]
         carried = hyperplane_values(before, k).count(0)  # S_0 leads V_i
@@ -701,16 +706,12 @@ def check_stage_memory_proxy(problem, config):
 
     _, stats = run(problem, config, stage_hook=hook)
     assert len(prev) == len(problem.equations) + 1
-    assert stats.mem_trace[0] == sum(vertex_bytes(v, problem.dim) for v in prev[0].vertices)
+    assert stats.initial[1] == sum(vertex_bytes(v, problem.dim) for v in prev[0].vertices)
     return seen
 
 
 @pytest.mark.parametrize("representation", ["inner", "full"])
-@pytest.mark.parametrize(
-    "name,filtering",
-    [(name, True) for name in ("gieseking", "onetet", "s2xs1", "loop9")]
-    + [(name, False) for name in ("gieseking", "onetet", "s2xs1")],
-)
+@pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
 def test_stage_memory_proxy_equals_a_full_recount(name, filtering, representation):
     """The proxy of every stage, which reads only the new vertices once V_{i-1}
     is known to hold one-limb values, equals the sum of `vertex_bytes`."""
@@ -736,11 +737,11 @@ def test_hand_built_state_gets_a_full_memory_scan():
     assert state.one_limb is False
     after = step(state, 0)
     assert [v.values for v in after.vertices] == [[2**70], [0]]
-    assert after.stats.mem_trace == [8 * (2 * 1 + 2 + 1)]
+    assert [s.mem_bytes for s in after.stats.stages] == [8 * (2 * 1 + 2 + 1)]
     assert after.one_limb is False
     trusted = initial_state(problem, "inner")
     trusted.one_limb = True
-    assert step(trusted, 0).stats.mem_trace == [8 * (2 * 1 + 1 + 1)]
+    assert step(trusted, 0).stats.stages[-1].mem_bytes == 8 * (2 * 1 + 1 + 1)
 
 
 stored = st.one_of(
@@ -761,38 +762,30 @@ LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri")
 LOOP12 = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri").read_text()))
 
 
-def run_audited(problem, config=None):
-    """`run`, plus the adjacency answer of every tested pair in order.  Also
-    checks that, per stage, the hint decides only non-adjacent pairs."""
-    answers, non_adjacent = [], Counter()
-
-    def audit(processed_count, sep_before, zero_count, adjacent):
-        answers.append(adjacent)
-        non_adjacent[processed_count] += not adjacent
-
-    rays, stats = run(problem, config, pair_audit=audit)
-    assert len(stats.witness_hits) == len(stats.pair_counts)
-    assert all(hits <= non_adjacent[i] for i, hits in enumerate(stats.witness_hits))
-    return rays, stats, answers
+def totals(stats):
+    """The pair counters of a run's `Stage` records, summed over the stages."""
+    names = ("pairs", "compatible", "tested", "adjacent", "witness_hits")
+    return {name: sum(getattr(s, name) for s in stats.stages) for name in names}
 
 
 @pytest.mark.parametrize("representation,peak", [("inner", 41_208), ("full", 192_000)])
 def test_loop9_work_counters_are_pinned(representation, peak):
     """Deterministic work counters on loop9 under the default configuration;
     a change to any predicate or to the memory proxy moves one of them."""
-    rays, stats, audited = run_audited(LOOP9, RunConfig(representation=representation))
+    rays, stats = run(LOOP9, RunConfig(representation=representation))
     assert len(rays) == 77
-    assert sum(stats.pair_counts) == 44_656
-    # Compatible pairs: the ones the prefilter sees.  The rest of the
-    # 44,656 are never generated; 1,582 fail the prefilter.
-    assert sum(stats.compatible_counts) == 8_693
-    assert (len(audited), sum(audited)) == (7_111, 2_518)
+    # Of the 44,656 pairs of S_+ x S_-, 8,693 are compatible (the rest are
+    # never generated), 1,582 of those fail the prefilter and 7,111 are
+    # tested.  2,794 of the 4,593 non-adjacent pairs are decided by the last
+    # witness of the same u, without an index query.
+    counts = totals(stats)
+    assert counts == dict(
+        pairs=44_656, compatible=8_693, tested=7_111, adjacent=2_518, witness_hits=2_794
+    )
+    assert counts["compatible"] - counts["tested"] == 1_582
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
-    assert stats.sep_trace[-1] == 44
+    assert stats.stages[-1].sep == 44
     assert stats.peak_mem_bytes == peak
-    # 2,794 of the 4,593 non-adjacent pairs are decided by the last witness
-    # of the same u, without an index query.
-    assert sum(stats.witness_hits) == 2_794
 
 
 def test_index_agrees_with_the_rank_test_on_loop9():
@@ -815,14 +808,48 @@ def test_loop12_pair_split_is_pinned():
     12,256 of those rejected by the prefilter, 73,366 tested for adjacency
     and 11,103 adjacent.  The last witness of the same u decides 47,456 of
     the 62,263 non-adjacent ones without an index query."""
-    rays, stats, audited = run_audited(LOOP12)
+    rays, stats = run(LOOP12)
     assert len(rays) == 323
-    assert sum(stats.pair_counts) == 777_310
-    assert sum(stats.compatible_counts) == 85_622
-    assert sum(stats.compatible_counts) - len(audited) == 12_256
-    assert (len(audited), sum(audited)) == (73_366, 11_103)
+    counts = totals(stats)
+    assert counts == dict(
+        pairs=777_310, compatible=85_622, tested=73_366, adjacent=11_103, witness_hits=47_456
+    )
+    assert counts["compatible"] - counts["tested"] == 12_256
     assert stats.max_vertex_count == 1_585
-    assert sum(stats.witness_hits) == 47_456
+
+
+@pytest.mark.parametrize("adjacency", ["comb", "alg"])
+@pytest.mark.parametrize("representation", ["inner", "full"])
+@pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
+def test_stage_records_add_up(name, filtering, representation, adjacency):
+    """Each stage's record against what the hooks saw: S_0, S_+ and S_-
+    split V_{i-1}, every tested pair is one `pair_audit` call, and the
+    adjacent ones are the vertices V_i adds to S_0.  The group filter passes
+    at most |S_+| * |S_-| pairs (all of them with filtering off), the
+    prefilter at most those, and the hint decides only non-adjacent pairs."""
+    problem = problem_named(name)
+    config = RunConfig(representation=representation, adjacency=adjacency, filtering=filtering)
+    sizes = [problem.dim]  # V_0: the unit rays
+    tested, adjacent = Counter(), Counter()
+
+    def audit(processed_count, sep_before, zero_count, is_adjacent):
+        tested[processed_count] += 1
+        adjacent[processed_count] += is_adjacent
+
+    _, stats = run(
+        problem, config, pair_audit=audit, stage_hook=lambda s: sizes.append(len(s.vertices))
+    )
+    assert stats.sizes == sizes
+    assert len(stats.stages) == len(problem.equations)
+    for i, stage in enumerate(stats.stages):
+        assert stage.s0 + stage.s_pos + stage.s_neg == sizes[i]
+        assert (stage.tested, stage.adjacent) == (tested[i], adjacent[i])
+        assert stage.tested <= stage.compatible <= stage.pairs
+        if not filtering:
+            assert stage.compatible == stage.pairs
+        assert stage.witness_hits <= stage.tested - stage.adjacent
+        if adjacency == "alg":
+            assert stage.witness_hits == 0
 
 
 def test_compatible_counts_equal_a_brute_force_count():
@@ -843,7 +870,7 @@ def test_compatible_counts_equal_a_brute_force_count():
                 sum(1 for u in pos for w in neg if not filtering or compatible(u & w, needs))
             )
             state = step(state, k)
-        assert state.stats.compatible_counts == want
+        assert [s.compatible for s in state.stats.stages] == want
         if not filtering:
             assert want == state.stats.pair_counts
 
@@ -873,8 +900,8 @@ def test_one_zero_index_per_stage_with_both_sides(monkeypatch, adjacency):
 
     monkeypatch.setattr(dd_engine, "zero_index", counted)
     _, stats = run(GIESEKING if adjacency == "alg" else LOOP9, RunConfig(adjacency=adjacency))
-    seps = [0, *stats.sep_trace]  # sep grows exactly at the stages with both sides
-    assert builds == [stats.sizes[i] for i in range(len(stats.sep_trace)) if seps[i + 1] > seps[i]]
+    seps = [0, *(s.sep for s in stats.stages)]  # sep grows exactly at the stages with both sides
+    assert builds == [stats.sizes[i] for i in range(len(stats.stages)) if seps[i + 1] > seps[i]]
 
 
 def test_run_empty_equations():
@@ -925,8 +952,9 @@ def test_representations_agree(problem):
 
 
 def reference_step(state, k):
-    """V_i, |S_+| * |S_-| and the compatible pair count of one stage, from a
-    plain double loop over S_+ x S_- with the linear witness scan."""
+    """V_i, |S_+| * |S_-| and the compatible and tested pair counts of one
+    stage, from a plain double loop over S_+ x S_- with the linear witness
+    scan."""
     problem, cfg = state.problem, state.config
     values = hyperplane_values(state, k)
     drop = state.remaining.index(k) if cfg.representation == "inner" else None
@@ -939,7 +967,7 @@ def reference_step(state, k):
             out.append(v if drop is None else Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
         else:
             (pos if t > 0 else neg).append((v, t))
-    compatible_pairs = 0
+    compatible_pairs = tested = 0
     for u, a in pos:
         for w, b in neg:
             inter = u.mask & w.mask
@@ -948,9 +976,10 @@ def reference_step(state, k):
             compatible_pairs += 1
             if inter.bit_count() < need:
                 continue
+            tested += 1
             if brute_adjacent(u.mask, w.mask, masks):
                 out.append(combine(u, w, a, b, drop))
-    return out, len(pos) * len(neg), compatible_pairs
+    return out, len(pos) * len(neg), compatible_pairs, tested
 
 
 @st.composite
@@ -977,8 +1006,8 @@ def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, represe
         problem, representation, filtering=filtering, dim_prefilter=prefilter
     )
     for k in range(len(problem.equations)):
-        want, pairs, compatible_pairs = reference_step(state, k)
+        want, *counts = reference_step(state, k)
         state = step(state, k)
         assert state.vertices == want
-        assert state.stats.pair_counts[-1] == pairs
-        assert state.stats.compatible_counts[-1] == compatible_pairs
+        last = state.stats.stages[-1]
+        assert [last.pairs, last.compatible, last.tested] == counts
