@@ -216,6 +216,30 @@ def test_representations_agree_on_random_closed_triangulations():
     report("representation-crosscheck-random", not bad, "; ".join(bad) or "90 triangulations")
 
 
+def test_zero_sets_stay_pairwise_distinct_on_random_closed_triangulations():
+    """Criterion: on seeded random closed triangulations of 3-5 tetrahedra,
+    under both representations, the zero sets of every V_i are pairwise
+    distinct, as bulk elimination assumes; with filtering off too on the
+    3-tetrahedron ones, whose unfiltered runs stay small."""
+    rng = random.Random(20101)
+    bad = []
+    for index in range(90):
+        n = 3 + index % 3
+        problem = standard_matching_equations(random_closed_triangulation(n, rng))
+        for representation, filtering in product(("inner", "full"), (True, False)):
+            if n > 3 and not filtering:
+                continue
+            seen = []
+            run(
+                problem,
+                RunConfig(representation=representation, filtering=filtering),
+                stage_hook=lambda state: seen.append([v.mask for v in state.vertices]),
+            )
+            if any(len(set(masks)) != len(masks) for masks in seen):
+                bad.append(f"triangulation {index}, {representation}, filtering={filtering}")
+    report("distinct-zero-sets-random", not bad, "; ".join(bad) or "90 triangulations")
+
+
 def test_position_ordering_reproduces_input_order():
     """Criterion: position-vector ordering on the Gieseking rows returns them
     in their printed order, with the support-tied rows 2 and 3 kept in input

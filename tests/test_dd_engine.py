@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from conedd.dd_engine import (
     init_vertices,
     prefilter_need,
     recover,
+    restrict,
     run,
     stage_bytes,
     step,
@@ -33,9 +35,9 @@ from conedd.dd_engine import (
     zero_index,
 )
 from conedd.errors import InternalError
-from conedd.exact_linalg import dot
+from conedd.exact_linalg import dot, sparse_row
 from conedd.oracle import brute_force_filtered, brute_force_rays
-from conedd.ordering import parse_strategy
+from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations
 from conedd.zeroset import group_mask, zero_mask
 
@@ -139,39 +141,37 @@ def test_extended_no_weaker_than_basic():
 
 
 def adjacency_over(masks):
-    """The combinatorial adjacency test over the zero sets `masks`, with the
-    hint `step` gives the first pair of each u: Z(u), which is never a
-    witness."""
-    containing = zero_index(masks)
-    return lambda u, w: adjacent_combinatorial(u, w, masks, containing, u) is None
+    """The combinatorial adjacency test over the zero sets `masks`, for two
+    positions."""
+    containing = zero_index(masks).containing
+    return lambda u, w: adjacent_combinatorial(u, w, masks, containing) is None
 
 
 def test_adjacent_combinatorial_unit_rays():
     masks = [v.mask for v in init_vertices(GIESEKING, "full")]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
-    assert adjacency_over(masks)(masks[5], masks[6])
+    assert adjacency_over(masks)(5, 6)
 
 
 def test_adjacent_combinatorial_witness():
     u = zero_mask((1, 0, 1, 0))
     w = zero_mask((0, 1, 0, 1))
     z = zero_mask((1, 1, 1, 1))
-    assert adjacency_over([u, w])(u, w)
+    assert adjacency_over([u, w])(0, 1)
     # z's zero set (empty) contains Z(u) & Z(w) (also empty): witness found.
-    assert not adjacency_over([u, w, z])(u, w)
-
-
-def test_adjacent_combinatorial_skips_duplicates_of_pair():
-    u = zero_mask((1, 0, 0))
-    w = zero_mask((0, 1, 0))
-    # A duplicate of u in the list must not count as a witness.
-    assert adjacency_over([u, w, zero_mask((2, 0, 0))])(u, w)
+    assert not adjacency_over([u, w, z])(0, 1)
 
 
 def brute_containing(masks, key):
     """The superset scan: the positions whose mask contains `key`."""
     return sum(1 << i for i, z in enumerate(masks) if z & key == key)
+
+
+def brute_avoiding(masks, key):
+    """The disjointness scan: the positions whose mask shares no bit with
+    `key`."""
+    return sum(1 << i for i, z in enumerate(masks) if not z & key)
 
 
 def brute_adjacent(u, w, masks):
@@ -240,86 +240,91 @@ DIMS = (3, 8, 13, 64, 71, 84, 130)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_zero_index_matches_a_superset_scan(dim, data):
+    """Both queries of `zero_index` against a scan: `containing` the
+    superset scan, and `avoiding` the disjointness scan, which the engine
+    asks with keys Z(u) & ~Z(p)."""
     masks = data.draw(witness_masks(dim, min_size=0))
-    containing = zero_index(masks)
+    containing, avoiding = zero_index(masks)
     top = max(masks, default=0).bit_length()
     keys = [0, 1 << top, 1 << dim, 1 << (dim + 64), (1 << (dim + 9)) - 1]
     keys += [u & w for u in masks for w in masks]
+    keys += [u & ~z for u in masks for z in masks]
     keys += data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=8))
     for key in keys:
         assert containing(key) == brute_containing(masks, key), key
+        assert avoiding(key) == brute_avoiding(masks, key), key
 
 
 def test_zero_index_edge_cases():
-    assert zero_index([])(0) == 0
-    assert zero_index([])(0b101) == 0
+    assert zero_index([]).containing(0) == zero_index([]).avoiding(0) == 0
+    assert zero_index([]).containing(0b101) == zero_index([]).avoiding(0b101) == 0
     masks = [0b011, 0b001, 0b011, 0]
-    containing = zero_index(masks)
+    containing, avoiding = zero_index(masks)
     assert containing(0) == 0b1111  # key 0 is in every mask
     assert containing(0b001) == 0b0111
     assert containing(0b011) == 0b0101  # both copies
+    assert avoiding(0) == 0b1111  # and misses every one
+    assert avoiding(0b001) == 0b1000
+    assert avoiding(0b010) == 0b1010
     # Bits above every mask: inside the last 8-bit chunk, and beyond it
-    # (where `to_bytes` would overflow).
+    # (where `to_bytes` would overflow).  No mask contains them, and they
+    # exclude no mask.
     assert containing(0b100) == 0
     assert containing(1 << 8 | 1) == 0
     assert containing(1 << 200) == 0
+    assert avoiding(0b100) == avoiding(1 << 200) == 0b1111
+    assert avoiding(1 << 8 | 0b010) == avoiding(0b010)
     # All-zero masks: no chunk columns at all (width 0).
-    containing = zero_index([0, 0, 0])
+    containing, avoiding = zero_index([0, 0, 0])
     assert containing(0) == 0b111
     assert containing(1) == containing(1 << 7) == containing(1 << 100) == 0
+    assert avoiding(0) == avoiding(1) == avoiding(1 << 100) == 0b111
     # 5,000 positions: a translated column is a 5,000-digit base-2 string,
     # past CPython's 4,300-digit limit on int parsing, which exempts base 2.
     rng = random.Random(8)
     masks = [rng.getrandbits(84) for _ in range(5_000)]
-    containing = zero_index(masks)
+    containing, avoiding = zero_index(masks)
     keys = [0, 1 << 83, (1 << 84) - 1]
     keys += [rng.choice(masks) & rng.choice(masks) for _ in range(30)]
     keys += [rng.choice(masks) & rng.getrandbits(84) for _ in range(30)]
     keys += [1 << rng.randrange(84) | 1 << rng.randrange(84) for _ in range(30)]
     for key in keys:
         assert containing(key) == brute_containing(masks, key), key
+        assert avoiding(key) == brute_avoiding(masks, key), key
 
 
 @pytest.mark.parametrize("dim", DIMS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_witness_index_matches_the_linear_scan(dim, data):
-    """`adjacent_combinatorial` on a `zero_index` decides adjacency as the
-    linear scan does, whatever mask of V_{i-1} the hint is (a witness, a
-    copy of Z(u) or Z(w), Z(u) itself, a mask missing the key), and what it
-    returns is a witness."""
-    masks = data.draw(witness_masks(dim))
-    containing = zero_index(masks)
-    for u in masks:
-        for w in masks:
-            key = u & w
-            for hint in masks:
-                witness = adjacent_combinatorial(u, w, masks, containing, hint)
-                assert (witness is None) == brute_adjacent(u, w, masks), (u, w, hint)
-                if witness is not None:
-                    assert witness in masks and witness & key == key
-                    assert witness not in (u, w)
-                    # The hint is tried first: it is returned iff it is a witness.
-                    assert (witness == hint) == (hint & key == key and hint not in (u, w))
+    """Over pairwise distinct zero sets, as those of V_{i-1} are,
+    `adjacent_combinatorial` on a `zero_index` decides adjacency as the
+    linear scan does, and returns the lowest witness position."""
+    masks = list(dict.fromkeys(data.draw(witness_masks(dim))))
+    containing = zero_index(masks).containing
+    for u, w in product(range(len(masks)), repeat=2):
+        if u == w:
+            continue
+        key = masks[u] & masks[w]
+        witnesses = [i for i, z in enumerate(masks) if z & key == key and i not in (u, w)]
+        witness = adjacent_combinatorial(u, w, masks, containing)
+        assert (witness is None) == brute_adjacent(masks[u], masks[w], masks), (u, w)
+        assert witness == min(witnesses, default=None), (u, w)
 
 
-def test_hinted_adjacency_edge_cases():
+def test_adjacency_edge_cases():
     u, w = 0b0110, 0b1100
-    masks = [u, w, u, w, 0b0001]
-    containing = zero_index(masks)
-    # Copies of Z(u) and Z(w) contain the key but are never returned, and
-    # neither is a hint that misses it.
-    for hint in masks:
-        assert adjacent_combinatorial(u, w, masks, containing, hint) is None
-    masks = [u, w, 0b1111, 0b0100]
-    containing = zero_index(masks)
-    assert adjacent_combinatorial(u, w, masks, containing, 0b0100) == 0b0100
-    assert adjacent_combinatorial(u, w, masks, containing, u) == 0b1111  # the index's first
-    # Key 0 and the only witness 0: the result is 0, not None.
-    masks = [0b10, 0b01, 0]
-    containing = zero_index(masks)
-    assert adjacent_combinatorial(0b10, 0b01, masks, containing, 0b10) == 0
-    assert adjacent_combinatorial(0b10, 0b01, masks, containing, 0) == 0
+    # The pair's own positions contain the key but are never witnesses.
+    masks = [u, w, 0b0001]
+    assert adjacent_combinatorial(0, 1, masks, zero_index(masks).containing) is None
+    masks = [0b1111, u, 0b0100, w, 0b0111]
+    containing = zero_index(masks).containing
+    assert adjacent_combinatorial(1, 3, masks, containing) == 0  # the lowest of 0, 2 and 4
+    assert adjacent_combinatorial(3, 1, masks, containing) == 0  # either order
+    assert adjacent_combinatorial(0, 4, masks, containing) is None
+    # Key 0 and the only witness at position 0: the result is 0, not None.
+    masks = [0, 0b10, 0b01]
+    assert adjacent_combinatorial(1, 2, masks, zero_index(masks).containing) == 0
 
 
 def test_step_reads_a_zero_witness_as_non_adjacent():
@@ -331,14 +336,7 @@ def test_step_reads_a_zero_witness_as_non_adjacent():
     vertices = [vertex((1, 0)), vertex((0, 1)), vertex((1, 1))]
     after = step(EngineState(problem, config, vertices, [], [0], 0, RunStats()), 0)
     assert after.vertices == [vertex((1, 1))]
-    assert after.stats.stages[-1].witness_hits == 0
-
-
-def test_witness_index_ignores_duplicates_of_the_pair():
-    u, w = 0b0110, 0b1100
-    # Copies of Z(u) and Z(w) contain Z(u) & Z(w) but are never witnesses.
-    assert adjacency_over([u, w, u, w, w])(u, w)
-    assert not adjacency_over([u, w, u, 0b0100])(u, w)
+    assert (after.stats.stages[-1].tested, after.stats.stages[-1].bulk) == (1, 0)
 
 
 @st.composite
@@ -373,7 +371,7 @@ def test_partner_index_matches_compatible(dim, data):
     """`group_partners` on a `zero_index` equals brute-force `compatible`."""
     groups, masks, s_neg = data.draw(grouped(dim))
     needs = group_needs(groups)
-    containing = zero_index(masks)
+    containing = zero_index(masks).containing
     partners_of = group_partners(containing, s_neg, GroupTable.of(groups))
     negatives = bits_at(s_neg, len(masks))
     for u in masks:
@@ -388,27 +386,27 @@ def test_partner_index_matches_compatible(dim, data):
 def test_partner_index_edge_cases():
     groups = GroupTable.of([(0, 1, 2), (3,)])
     clean, other, zero = 0b1110, 0b1101, 0b1111  # non-zero at 0 / at 1 / neither
-    containing = zero_index([clean, other, clean, zero])
+    containing = zero_index([clean, other, clean, zero]).containing
     assert group_partners(containing, 0, groups)(clean) == 0  # empty S_-
     partners_of = group_partners(containing, 0b1111, groups)
     assert partners_of(clean) == 0b1101  # `other` is out
     assert partners_of(zero) == 0b1111  # zero on the group: every candidate
     assert group_partners(containing, 0b0110, groups)(clean) == 0b0100  # only S_-
     # A group of one coordinate never rejects anything.
-    assert group_partners(zero_index([0b0111]), 1, groups)(0b0111) == 1
+    assert group_partners(zero_index([0b0111]).containing, 1, groups)(0b0111) == 1
 
 
 def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
     state = initial_state(GIESEKING, "full")
     values = hyperplane_values(state, 0)
     masks = [v.mask for v in state.vertices]
-    s_pos = [m for m, t in zip(masks, values) if t > 0]
-    s_neg = [m for m, t in zip(masks, values) if t < 0]
+    s_pos = [i for i, t in enumerate(values) if t > 0]
+    s_neg = [i for i, t in enumerate(values) if t < 0]
     assert s_pos and s_neg
     adjacent = adjacency_over(masks)
     for u in s_pos:
         for w in s_neg:
-            assert adjacent_algebraic(u, w, GIESEKING, []) == adjacent(u, w)
+            assert adjacent_algebraic(masks[u], masks[w], GIESEKING, []) == adjacent(u, w)
 
 
 def test_combine_full():
@@ -764,7 +762,7 @@ LOOP12 = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri
 
 def totals(stats):
     """The pair counters of a run's `Stage` records, summed over the stages."""
-    names = ("pairs", "compatible", "tested", "adjacent", "witness_hits")
+    names = ("pairs", "compatible", "bulk", "tested", "adjacent")
     return {name: sum(getattr(s, name) for s in stats.stages) for name in names}
 
 
@@ -775,14 +773,13 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     rays, stats = run(LOOP9, RunConfig(representation=representation))
     assert len(rays) == 77
     # Of the 44,656 pairs of S_+ x S_-, 8,693 are compatible (the rest are
-    # never generated), 1,582 of those fail the prefilter and 7,111 are
-    # tested.  2,794 of the 4,593 non-adjacent pairs are decided by the last
-    # witness of the same u, without an index query.
+    # never generated).  A witness of an earlier pair of the same u removes
+    # 4,487 of those in bulk, 247 fail the prefilter and 3,959 are tested.
     counts = totals(stats)
     assert counts == dict(
-        pairs=44_656, compatible=8_693, tested=7_111, adjacent=2_518, witness_hits=2_794
+        pairs=44_656, compatible=8_693, bulk=4_487, tested=3_959, adjacent=2_518
     )
-    assert counts["compatible"] - counts["tested"] == 1_582
+    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 247
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
     assert stats.stages[-1].sep == 44
     assert stats.peak_mem_bytes == peak
@@ -805,17 +802,36 @@ def test_index_agrees_with_the_rank_test_on_loop9():
 
 def test_loop12_pair_split_is_pinned():
     """The loop12 pairs by fate: 777,310 in S_+ x S_-, 85,622 compatible,
-    12,256 of those rejected by the prefilter, 73,366 tested for adjacency
-    and 11,103 adjacent.  The last witness of the same u decides 47,456 of
-    the 62,263 non-adjacent ones without an index query."""
+    63,821 of those removed in bulk by the witness of an earlier pair, 909
+    rejected by the prefilter, 20,892 tested for adjacency and 11,103
+    adjacent."""
     rays, stats = run(LOOP12)
     assert len(rays) == 323
     counts = totals(stats)
     assert counts == dict(
-        pairs=777_310, compatible=85_622, tested=73_366, adjacent=11_103, witness_hits=47_456
+        pairs=777_310, compatible=85_622, bulk=63_821, tested=20_892, adjacent=11_103
     )
-    assert counts["compatible"] - counts["tested"] == 12_256
+    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 909
     assert stats.max_vertex_count == 1_585
+
+
+def test_restrict_by_support_matches_the_entry_pass():
+    """Given the rows' support masks, `restrict` drops the rows inside the
+    mask with one AND and gives what the pass over every entry gives, on
+    dense random masks (most rows inside) and on loop9's final zero sets."""
+    rows = [sparse_row(row) for row in LOOP9.equations]
+    supports = [sum(1 << j for j in row) for row in rows]
+    rng = random.Random(11)
+    d = LOOP9.dim
+    masks = [0, (1 << d) - 1]
+    masks += [rng.getrandbits(d) | rng.getrandbits(d) | rng.getrandbits(d) for _ in range(200)]
+    _, _, trace = run_tracing_zero_sets(LOOP9)
+    masks += trace[-1]
+    dropped = 0
+    for mask in masks:
+        assert restrict(rows, mask, d, supports) == restrict(rows, mask, d), mask
+        dropped += sum(1 for support in supports if not support & ~mask)
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("adjacency", ["comb", "alg"])
@@ -823,33 +839,44 @@ def test_loop12_pair_split_is_pinned():
 @pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
 def test_stage_records_add_up(name, filtering, representation, adjacency):
     """Each stage's record against what the hooks saw: S_0, S_+ and S_-
-    split V_{i-1}, every tested pair is one `pair_audit` call, and the
-    adjacent ones are the vertices V_i adds to S_0.  The group filter passes
-    at most |S_+| * |S_-| pairs (all of them with filtering off), the
-    prefilter at most those, and the hint decides only non-adjacent pairs."""
+    split V_{i-1}, and the adjacent pairs are the vertices V_i adds to S_0.
+    `pair_audit` hears every pair that passes the prefilter: the tested ones
+    and the ones removed in bulk that would have passed.  The group filter
+    passes at most |S_+| * |S_-| pairs (all of them with filtering off), and
+    they split into `bulk`, prefilter rejections and `tested`; with the
+    prefilter off, into `bulk` and `tested` alone.  Only `comb` removes
+    pairs in bulk."""
     problem = problem_named(name)
-    config = RunConfig(representation=representation, adjacency=adjacency, filtering=filtering)
-    sizes = [problem.dim]  # V_0: the unit rays
-    tested, adjacent = Counter(), Counter()
+    for prefilter in ("extended", "off"):
+        config = RunConfig(
+            representation=representation,
+            adjacency=adjacency,
+            filtering=filtering,
+            dim_prefilter=prefilter,
+        )
+        sizes = [problem.dim]  # V_0: the unit rays
+        audited, adjacent = Counter(), Counter()
 
-    def audit(processed_count, sep_before, zero_count, is_adjacent):
-        tested[processed_count] += 1
-        adjacent[processed_count] += is_adjacent
+        def audit(processed_count, sep_before, zero_count, is_adjacent):
+            audited[processed_count] += 1
+            adjacent[processed_count] += is_adjacent
 
-    _, stats = run(
-        problem, config, pair_audit=audit, stage_hook=lambda s: sizes.append(len(s.vertices))
-    )
-    assert stats.sizes == sizes
-    assert len(stats.stages) == len(problem.equations)
-    for i, stage in enumerate(stats.stages):
-        assert stage.s0 + stage.s_pos + stage.s_neg == sizes[i]
-        assert (stage.tested, stage.adjacent) == (tested[i], adjacent[i])
-        assert stage.tested <= stage.compatible <= stage.pairs
-        if not filtering:
-            assert stage.compatible == stage.pairs
-        assert stage.witness_hits <= stage.tested - stage.adjacent
-        if adjacency == "alg":
-            assert stage.witness_hits == 0
+        _, stats = run(
+            problem, config, pair_audit=audit, stage_hook=lambda s: sizes.append(len(s.vertices))
+        )
+        assert stats.sizes == sizes
+        assert len(stats.stages) == len(problem.equations)
+        for i, stage in enumerate(stats.stages):
+            assert stage.s0 + stage.s_pos + stage.s_neg == sizes[i]
+            assert stage.adjacent == adjacent[i] <= stage.tested
+            assert stage.tested <= audited[i] <= stage.tested + stage.bulk
+            assert stage.bulk + stage.tested <= stage.compatible <= stage.pairs
+            if prefilter == "off":
+                assert stage.bulk + stage.tested == audited[i] == stage.compatible
+            if not filtering:
+                assert stage.compatible == stage.pairs
+            if adjacency == "alg":
+                assert stage.bulk == 0
 
 
 def test_compatible_counts_equal_a_brute_force_count():
@@ -952,9 +979,9 @@ def test_representations_agree(problem):
 
 
 def reference_step(state, k):
-    """V_i, |S_+| * |S_-| and the compatible and tested pair counts of one
-    stage, from a plain double loop over S_+ x S_- with the linear witness
-    scan."""
+    """V_i, |S_+| * |S_-|, the compatible pair count and the (zero count,
+    adjacent) verdicts of the pairs that pass the prefilter, of one stage,
+    from a plain double loop over S_+ x S_- with the linear witness scan."""
     problem, cfg = state.problem, state.config
     values = hyperplane_values(state, k)
     drop = state.remaining.index(k) if cfg.representation == "inner" else None
@@ -967,7 +994,8 @@ def reference_step(state, k):
             out.append(v if drop is None else Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
         else:
             (pos if t > 0 else neg).append((v, t))
-    compatible_pairs = tested = 0
+    compatible_pairs = 0
+    verdicts = []
     for u, a in pos:
         for w, b in neg:
             inter = u.mask & w.mask
@@ -976,10 +1004,11 @@ def reference_step(state, k):
             compatible_pairs += 1
             if inter.bit_count() < need:
                 continue
-            tested += 1
-            if brute_adjacent(u.mask, w.mask, masks):
+            adjacent = brute_adjacent(u.mask, w.mask, masks)
+            verdicts.append((inter.bit_count(), adjacent))
+            if adjacent:
                 out.append(combine(u, w, a, b, drop))
-    return out, len(pos) * len(neg), compatible_pairs, tested
+    return out, len(pos) * len(neg), compatible_pairs, verdicts
 
 
 @st.composite
@@ -1006,8 +1035,59 @@ def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, represe
         problem, representation, filtering=filtering, dim_prefilter=prefilter
     )
     for k in range(len(problem.equations)):
-        want, *counts = reference_step(state, k)
+        want, pairs, compatible_pairs, verdicts = reference_step(state, k)
+        heard = []
+        audited = step(replace(state, stats=RunStats()), k, pair_audit=lambda *a: heard.append(a[2:]))
         state = step(state, k)
-        assert state.vertices == want
+        assert state.vertices == audited.vertices == want
         last = state.stats.stages[-1]
-        assert [last.pairs, last.compatible, last.tested] == counts
+        assert audited.stats.stages == [last]
+        assert [last.pairs, last.compatible] == [pairs, compatible_pairs]
+        # `pair_audit` hears the verdicts of the pairs that pass the
+        # prefilter, those removed in bulk too, in double-loop order.
+        assert heard == verdicts
+        assert last.tested <= len(heard) <= last.tested + last.bulk
+
+
+def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
+    """With the prefilter off, `pair_audit` hears every compatible pair,
+    the ones removed in bulk too.  On every stage of loop9 its verdicts are
+    those of the linear witness scan, pair by pair in double-loop order, so
+    every pair a witness removed in bulk is non-adjacent."""
+    config = RunConfig(dim_prefilter="off")
+    state = initial_state(LOOP9, "inner", dim_prefilter="off")
+    for k in order_static(LOOP9, config.ordering):
+        want, _, compatible_pairs, verdicts = reference_step(state, k)
+        heard = []
+        state = step(state, k, pair_audit=lambda *a: heard.append(a[2:]))
+        assert state.vertices == want
+        assert heard == verdicts and len(heard) == compatible_pairs
+    assert sum(s.bulk for s in state.stats.stages) > 0
+
+
+@pytest.mark.slow
+def test_loop15_work_counters_are_pinned():
+    """loop15's pairs by fate under the default configuration, so that any
+    change to the adjacency work shows: 13,836,788 in S_+ x S_-, 954,507
+    compatible, 836,019 removed in bulk, 114,590 tested and 47,596
+    adjacent."""
+    problem = standard_matching_equations(
+        parse_triangulation((FIXTURES / "loop15.tri").read_text())
+    )
+    rays, stats = run(problem)
+    assert len(rays) == 1_365
+    assert totals(stats) == dict(
+        pairs=13_836_788, compatible=954_507, bulk=836_019, tested=114_590, adjacent=47_596
+    )
+    assert stats.max_vertex_count == 6_711
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+@pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
+def test_zero_sets_of_every_stage_are_pairwise_distinct(name, filtering, representation):
+    """The invariant bulk elimination relies on: the vertices of each V_i
+    are distinct extreme rays, so their zero sets are pairwise distinct."""
+    config = RunConfig(representation=representation, filtering=filtering)
+    _, _, trace = run_tracing_zero_sets(problem_named(name), config)
+    for masks in trace:
+        assert len(set(masks)) == len(masks)
