@@ -35,7 +35,7 @@ from conedd.dd_engine import (
     zero_index,
 )
 from conedd.errors import InternalError
-from conedd.exact_linalg import dot, sparse_row
+from conedd.exact_linalg import dot, sparse_row, vector_gcd
 from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations
@@ -451,6 +451,78 @@ def test_forged_full_vertex_fails_the_zero_set_check():
         step(state, 0)
 
 
+def reference_combine(u, w, a, b, drop):
+    """a*w - b*u as a list comprehension, less the entry at `drop`, divided
+    by `vector_gcd`: what `combine` computes, without its zero-set check."""
+    values = [a * wv - b * uv for uv, wv in zip(u.values, w.values)]
+    if drop is not None:
+        del values[drop]
+    g = vector_gcd(values)
+    if g > 1:
+        values = [x // g for x in values]
+    return Vertex(u.mask & w.mask, values)
+
+
+# Values of one limb and past it, on both sides of +-2^64.
+wide = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
+    st.integers(min_value=-(2**64) - 1, max_value=-(2**64) + 2),
+)
+# (a, b): the w + u case, and general values on either side of the hyperplane.
+sides = st.one_of(
+    st.just((1, -1)),
+    st.tuples(st.integers(min_value=1, max_value=2**66), st.integers(min_value=-(2**66), max_value=-1)),
+)
+masks9 = st.integers(min_value=0, max_value=2**9 - 1)
+
+
+def value_pairs(entries):
+    """Two lists of `entries` of one length, 1 to 8, and a position in them."""
+    return st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+        st.lists(entries, min_size=n, max_size=n),
+        st.lists(entries, min_size=n, max_size=n),
+        st.integers(min_value=0, max_value=n - 1),
+    ))
+
+
+def check_combine(u, w, a, b, drop):
+    """`combine` against `reference_combine`, leaving u and w as they were,
+    with every value at most (a - b) times the largest |x| of u and w."""
+    before = (u.values.copy(), w.values.copy())
+    got = combine(u, w, a, b, drop)
+    assert got == reference_combine(u, w, a, b, drop)
+    assert (u.values, w.values) == before
+    top = max(map(abs, u.values + w.values), default=0)
+    assert all(abs(x) <= (a - b) * top for x in got.values)
+
+
+@settings(max_examples=200)
+@given(value_pairs(wide), masks9, masks9, sides)
+def test_combine_matches_the_reference_under_inner(values, u_mask, w_mask, side):
+    """An `inner` combination, dropping the product at every position."""
+    u_values, w_values, _ = values
+    u, w = Vertex(u_mask, u_values), Vertex(w_mask, w_values)
+    for drop in range(len(u_values)):
+        check_combine(u, w, *side, drop)
+
+
+@settings(max_examples=200)
+@given(value_pairs(st.one_of(st.just(0), wide.map(abs))), sides)
+def test_combine_matches_the_reference_under_full(coords, side):
+    """A `full` combination of non-negative coordinates, whose zero set is
+    Z(u) & Z(w).  A mask forged on a coordinate where w is zero always
+    disagrees with the combined coordinates, and is caught."""
+    u_values, w_values, j = coords
+    w_values[j] = 0
+    u, w = vertex(u_values), vertex(w_values)
+    check_combine(u, w, *side, None)
+    forged = Vertex(u.mask ^ 1 << j, u.values)
+    with pytest.raises(InternalError, match="zero set"):
+        combine(forged, w, *side, None)
+
+
 def test_hyperplane_without_stored_product_is_an_internal_error():
     for representation in ("full", "inner"):
         state = step(initial_state(GIESEKING, representation), 0)
@@ -634,15 +706,24 @@ def test_vertex_bytes():
 
 def test_stage_memory_proxy_counts_every_limb():
     """A stage holding a value of two limbs, an empty vertex and small ones
-    is summed vertex by vertex; a stage of one-limb values in bulk."""
+    is summed vertex by vertex; a stage of one-limb values in bulk.  The
+    bound returned is the exact largest |x| after a scan, and a given one
+    below 2^64 is trusted."""
     stage = [Vertex(0b1, [1, -2]), Vertex(0b11, [2**64, 3]), Vertex(0b111, []), Vertex(0, [0])]
     total = sum(vertex_bytes(v, 70) for v in stage)
-    assert stage_bytes(stage, 70) == (total, False) == (8 * (4 * 2 + 6), False)
-    assert stage_bytes(stage[:1] + stage[2:], 70) == (8 * (3 * 2 + 3), True)
+    # With no bound given the values are read, and the bound is exact.
+    assert stage_bytes(stage, 70) == (total, 2**64) == (8 * (4 * 2 + 6), 2**64)
+    assert stage_bytes(stage[:1] + stage[2:], 70) == (8 * (3 * 2 + 3), 2)
+    assert stage_bytes([Vertex(0, []), Vertex(1, [0])], 70) == (8 * (2 * 2 + 1), 0)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
         got = stage_bytes([Vertex(0, [1]), Vertex(0, [0, big])], 70)
-        assert got == (8 * (2 * 2 + 2 + limbs), limbs == 1), big
+        assert got == (8 * (2 * 2 + 2 + limbs), abs(big)), big
+    # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
+    # no proof of one limb, and the values are read.
+    assert stage_bytes(stage, 70, 3) == (8 * (4 * 2 + 5), 3)
+    assert stage_bytes(stage, 70, 2**64 - 1) == (8 * (4 * 2 + 5), 2**64 - 1)
+    assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
 
 
 # The fixture runs that finish: every fixture filtered, and all but loop9
@@ -678,10 +759,11 @@ def two_limb_cone(seed):
 
 def check_stage_memory_proxy(problem, config):
     """Run with a `stage_hook` that recomputes the memory proxy of every
-    stage from `vertex_bytes` and checks the stage's one-limb verdict.
-    Returns the transitions of two-limb values seen: "appear" (a new vertex
-    has one while V_{i-1} had none), "carried" (an S_0 vertex has one) and
-    "disappear" (V_{i-1} had one, V_i has none)."""
+    stage from `vertex_bytes` and checks the carried value bound: at least
+    the largest |x| stored, and equal to it from 2^64 on, where only a scan
+    can have set it.  Returns the transitions of two-limb values seen:
+    "appear" (a new vertex has one while V_{i-1} had none), "carried" (an
+    S_0 vertex has one) and "disappear" (V_{i-1} had one, V_i has none)."""
     seen = set()
     prev = [initial_state(problem, config.representation)]  # V_0, as `run` builds it
 
@@ -691,7 +773,10 @@ def check_stage_memory_proxy(problem, config):
     def hook(state):
         d = problem.dim
         assert state.stats.stages[-1].mem_bytes == sum(vertex_bytes(v, d) for v in state.vertices)
-        assert state.one_limb == (not two_limbs(state.vertices))
+        top = max((abs(x) for v in state.vertices for x in v.values), default=0)
+        assert state.value_bound >= top
+        if state.value_bound >= 2**64:
+            assert state.value_bound == top
         before, k = prev[-1], state.processed[-1]
         carried = hyperplane_values(before, k).count(0)  # S_0 leads V_i
         if not two_limbs(before.vertices) and two_limbs(state.vertices[carried:]):
@@ -711,8 +796,8 @@ def check_stage_memory_proxy(problem, config):
 @pytest.mark.parametrize("representation", ["inner", "full"])
 @pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
 def test_stage_memory_proxy_equals_a_full_recount(name, filtering, representation):
-    """The proxy of every stage, which reads only the new vertices once V_{i-1}
-    is known to hold one-limb values, equals the sum of `vertex_bytes`."""
+    """The proxy of every stage, which reads no value while the carried bound
+    stays below 2^64, equals the sum of `vertex_bytes`, and the bound holds."""
     config = RunConfig(representation=representation, filtering=filtering)
     assert check_stage_memory_proxy(problem_named(name), config) == set()
 
@@ -720,26 +805,30 @@ def test_stage_memory_proxy_equals_a_full_recount(name, filtering, representatio
 @pytest.mark.parametrize("representation", ["inner", "full"])
 def test_stage_memory_proxy_follows_two_limb_values(representation):
     """Two-limb values appear in new combinations, are carried in S_0 and
-    disappear again, so `record` takes both branches, and the verdict
-    returns to one limb for the last stage."""
+    disappear again, so `stage_bytes` sums `vertex_bytes` and counts in bulk
+    again after a scan, with the bound checked at every stage."""
     config = RunConfig(representation=representation, ordering=parse_strategy("input"))
     assert check_stage_memory_proxy(two_limb_cone(10), config) == {"appear", "carried", "disappear"}
 
 
 def test_hand_built_state_gets_a_full_memory_scan():
-    """A state built without a verdict is read in full: the S_0 vertex e_2
-    keeps its two-limb product with the second row.  Claiming one limb for
-    V_0 skips reading the S_0 values, which is what the verdict is for."""
+    """A state built without a bound (0, unknown) is read in full: the S_0
+    vertex e_2 keeps its two-limb product with the second row, and the scan
+    sets the exact bound.  A small bound is trusted and no value is read,
+    which is what the bound is for: claiming 1 for V_0 counts that product
+    as one limb, and the bound of V_1 is 1 times a - b = 2."""
     problem = EnumerationProblem(3, ((1, -1, 0), (0, 0, 2**70)), ())
     state = initial_state(problem, "inner")
-    assert state.one_limb is False
+    assert state.value_bound == 0
     after = step(state, 0)
     assert [v.values for v in after.vertices] == [[2**70], [0]]
     assert [s.mem_bytes for s in after.stats.stages] == [8 * (2 * 1 + 2 + 1)]
-    assert after.one_limb is False
+    assert after.value_bound == 2**70
     trusted = initial_state(problem, "inner")
-    trusted.one_limb = True
-    assert step(trusted, 0).stats.stages[-1].mem_bytes == 8 * (2 * 1 + 1 + 1)
+    trusted.value_bound = 1
+    after = step(trusted, 0)
+    assert after.stats.stages[-1].mem_bytes == 8 * (2 * 1 + 1 + 1)
+    assert after.value_bound == 2
 
 
 stored = st.one_of(
