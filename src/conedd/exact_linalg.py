@@ -1,13 +1,14 @@
 """Exact integer linear algebra: dot products, gcd normalization, rank, nullspaces.
 
-Everything runs on unbounded Python ints.  Rank and nullspace share one
-sparse row reduction (`_reduce`).  Rows are `{column: value}` dicts, the only
-row form they accept (`sparse_row` converts a dense row), so an update
-touches only the entries the two rows hold: a matching-equation row
-has at most 4 non-zeros, while a dense elimination would update every entry
-of every lower row at every pivot.  Each update is an integer combination
-of two rows followed by division by the gcd of the entries, so the entries
-stay integral and small.  Nullspaces are then read off by integer
+Everything runs on unbounded Python ints.  Rank, nullspace and the reduced
+row echelon form share one sparse row reduction (`_reduce`), and one row
+update (`_eliminate`).  Rows are `{column: value}` dicts, the only row form
+they accept (`sparse_row` converts a dense row), so an update touches only
+the entries the two rows hold: a matching-equation row has at most 4
+non-zeros, while a dense elimination would update every entry of every
+lower row at every pivot.  Each update is an integer combination of two
+rows followed by division by the gcd of the entries, so the entries stay
+integral and small.  Nullspaces are then read off by integer
 back-substitution.
 """
 
@@ -57,16 +58,34 @@ def sparse_row(row: Sequence[int]) -> Row:
     return {j: x for j, x in enumerate(row) if x}
 
 
+def _eliminate(row: Row, top: Row, col: int) -> Row:
+    """`row` with column `col` eliminated by the pivot row `top`: a*row -
+    b*top with a, b the pivot entry and the row's entry over their gcd,
+    divided by the gcd of its entries.  Only the entries the two rows hold
+    are touched, and neither is modified."""
+    a, b = top[col], row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in top.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = vector_gcd(out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
 def _reduce(rows: Iterable[Row], limit: Optional[int] = None) -> dict[int, Row]:
     """Exact row reduction; returns the pivot rows keyed by their lowest column.
 
-    Each row is reduced by the pivot of its lowest column, row <- a*row -
-    b*pivot with a, b the pivot entry and the row's entry over their gcd,
-    and then divided by the gcd of its entries.  A row that survives becomes
-    the pivot of its lowest column.  Only the entries a row holds are
-    touched.  The input rows are not modified.  With `limit` given the
-    reduction stops at that many pivots, leaving the rest of an iterator
-    unread.
+    Each row is reduced by the pivot of its lowest column (`_eliminate`)
+    until that column has no pivot; then, divided by the gcd of its
+    entries, it becomes the pivot of that column.  The input rows are not
+    modified.  With `limit` given the reduction stops at that many pivots,
+    leaving the rest of an iterator unread.
     """
     pivots: dict[int, Row] = {}
     for row in rows:
@@ -81,19 +100,29 @@ def _reduce(rows: Iterable[Row], limit: Optional[int] = None) -> dict[int, Row]:
                 if len(pivots) == limit:
                     return pivots
                 break
-            a, b = top[col], row[col]
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
-            for j, y in top.items():
-                x = out.get(j, 0) - b * y
-                if x:
-                    out[j] = x
-                else:
-                    del out[j]
-            g = vector_gcd(out.values())
-            row = {j: x // g for j, x in out.items()} if g > 1 else out
+            row = _eliminate(row, top, col)
+    return pivots
+
+
+def rref(rows: Iterable[Row]) -> dict[int, Row]:
+    """Reduced row echelon form over the rationals, kept integral: the pivot
+    rows keyed by their pivot column, and no pivot column is held by any
+    other row.
+
+    `_reduce` gives the echelon form, whose rows hold only columns from
+    their pivot on.  Going down from the highest pivot, each pivot column is
+    then eliminated from the rows of lower pivots; the pivot row used holds
+    no other pivot column by then, so none comes back.  The input rows are
+    not modified.
+    """
+    pivots = _reduce(rows)
+    cols = sorted(pivots)
+    for i in range(len(cols) - 1, 0, -1):
+        col = cols[i]
+        top = pivots[col]
+        for lower in cols[:i]:
+            if col in pivots[lower]:
+                pivots[lower] = _eliminate(pivots[lower], top, col)
     return pivots
 
 

@@ -1,0 +1,53 @@
+"""Reference coordinate recovery: one restricted elimination per ray.
+
+This is how `conedd.dd_engine.recover` worked before it read the rays off
+one reduced row echelon form per run.  It restricts every equation to the
+columns outside the zero set and asks `nullspace_generator` for the one
+generator of what is left, so it shares no code path with the kernel
+recovery beyond the row reduction itself.
+"""
+
+from conedd.dd_engine import Ray, recover, restrict
+from conedd.errors import InternalError
+from conedd.exact_linalg import nullspace_generator, sparse_row
+
+
+def reference_recover(problem, mask):
+    """Coordinates of the unique ray whose zero set is `mask`; raises
+    `InternalError` when the solution space of the equations restricted to
+    the other columns is not one line, or its generator is not positive on
+    every one of them."""
+    d = problem.dim
+    if mask >> d:
+        raise InternalError("zero set has bits outside the problem dimension")
+    rows = [sparse_row(row) for row in problem.equations]
+    restricted, free_cols = restrict(rows, mask, d)
+    gen = nullspace_generator(restricted, len(free_cols))
+    if gen is None:
+        raise InternalError("recovery system does not have a one-dimensional solution space")
+    if min(gen) <= 0:
+        raise InternalError("recovered vector does not match its zero set")
+    coords = [0] * d
+    for col, value in zip(free_cols, gen):
+        coords[col] = value
+    return Ray(tuple(coords))
+
+
+def outcome(fn, *args):
+    """`fn(*args)`, or the `InternalError` class if it raised one."""
+    try:
+        return fn(*args)
+    except InternalError:
+        return InternalError
+
+
+def check_against_reference(problem, masks, kernel=None):
+    """`recover` with `kernel` (a whole-problem kernel when None) gives, for
+    each mask, the same `Ray` as the reference, or both raise
+    `InternalError`.  Returns the number of masks that gave a ray."""
+    rays = 0
+    for mask in masks:
+        want = outcome(reference_recover, problem, mask)
+        assert outcome(recover, problem, mask, kernel) == want, bin(mask)
+        rays += want is not InternalError
+    return rays

@@ -7,14 +7,16 @@ loop instance is opt-in: `pytest -m slow`.
 
 import random
 import time
+from functools import reduce
 from itertools import product
+from operator import and_
 from pathlib import Path
 
 import pytest
 
 from conedd.cli import main
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
-from conedd.dd_engine import RunConfig, prefilter_need, run
+from conedd.dd_engine import RunConfig, prefilter_need, recovery_kernel, run
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import (
@@ -24,6 +26,7 @@ from conedd.triangulation import (
     twisted_layered_loop,
     write_triangulation,
 )
+from recovery_reference import check_against_reference
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,6 +217,32 @@ def test_representations_agree_on_random_closed_triangulations():
         if rays_f != rays_i:
             bad.append(f"triangulation {index}: {write_triangulation(t)!r}")
     report("representation-crosscheck-random", not bad, "; ".join(bad) or "90 triangulations")
+
+
+def test_recovery_matches_the_reference_on_random_closed_triangulations():
+    """Criterion: on the same 90 seeded random closed triangulations, every
+    final zero set recovers, from the run's reduced row echelon form, the
+    ray the old restrict-and-reduce recovery gives.  Each run has columns
+    that are zero on every ray, which that form leaves out."""
+    rng = random.Random(20100)
+    bad = []
+    for index in range(90):
+        problem = standard_matching_equations(random_closed_triangulation(3 + index % 3, rng))
+        last = []
+        run(problem, stage_hook=lambda s: last.__setitem__(slice(None), [v.mask for v in s.vertices]))
+        kernel = recovery_kernel(problem, reduce(and_, last, (1 << problem.dim) - 1))
+        if not kernel.zeros or check_against_reference(problem, last, kernel) != len(last):
+            bad.append(f"triangulation {index}")
+    report("recovery-reference-random", not bad, "; ".join(bad) or "90 triangulations")
+
+
+def test_representations_agree_on_the_unfiltered_loop():
+    """Criterion: on the unfiltered n = 6 loop, whose 393 final vertices
+    include inadmissible ones, Inner and Full give identical rays."""
+    problem = standard_matching_equations(twisted_layered_loop(6))
+    rays_f, _ = run(problem, RunConfig(representation="full", filtering=False))
+    rays_i, _ = run(problem, RunConfig(representation="inner", filtering=False))
+    report("representation-crosscheck-unfiltered", rays_f == rays_i and len(rays_i) == 393)
 
 
 def test_zero_sets_stay_pairwise_distinct_on_random_closed_triangulations():

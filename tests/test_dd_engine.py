@@ -3,7 +3,9 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from itertools import product
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from conedd import dd_engine
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import (
     PREFILTER_MODES,
+    Ray,
     EngineState,
     GroupTable,
     RunConfig,
@@ -27,7 +30,7 @@ from conedd.dd_engine import (
     init_vertices,
     prefilter_need,
     recover,
-    restrict,
+    recovery_kernel,
     run,
     stage_bytes,
     step,
@@ -35,10 +38,11 @@ from conedd.dd_engine import (
     zero_index,
 )
 from conedd.errors import InternalError
-from conedd.exact_linalg import dot, sparse_row, vector_gcd
+from conedd.exact_linalg import dot, vector_gcd
 from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
-from conedd.triangulation import parse_triangulation, standard_matching_equations
+from conedd.triangulation import parse_triangulation, standard_matching_equations, twisted_layered_loop
+from recovery_reference import check_against_reference
 from conedd.zeroset import group_mask, zero_mask
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -724,6 +728,13 @@ def test_stage_memory_proxy_counts_every_limb():
     assert stage_bytes(stage, 70, 3) == (8 * (4 * 2 + 5), 3)
     assert stage_bytes(stage, 70, 2**64 - 1) == (8 * (4 * 2 + 5), 2**64 - 1)
     assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
+    # Given the common width of the values, the vertices are not walked for
+    # it: the count is the same, and a stated width is taken at its word.
+    uniform = [Vertex(0b1, [1, -2]), Vertex(0b11, [5, 3]), Vertex(0, [0, 0])]
+    assert stage_bytes(uniform, 70, 0, 2) == stage_bytes(uniform, 70) == (8 * 3 * (2 + 2), 5)
+    assert stage_bytes(uniform, 70, 5, 2) == (8 * 3 * (2 + 2), 5)
+    assert stage_bytes(uniform, 70, 5, 9) == (8 * 3 * (2 + 9), 5)
+    assert stage_bytes([], 70, 0, 2) == (0, 0)
 
 
 # The fixture runs that finish: every fixture filtered, and all but loop9
@@ -738,6 +749,123 @@ def problem_named(name):
         return GIESEKING
     text = (FIXTURES / f"{name}.tri").read_text()
     return standard_matching_equations(parse_triangulation(text))
+
+
+def final_masks(problem, config=None):
+    """The zero sets of the final vertices of a run, as `recover` gets them."""
+    return run_tracing_zero_sets(problem, config)[2][-1]
+
+
+def run_kernel(problem, masks):
+    """The `recovery_kernel` `run` builds: over the columns outside the
+    zero set every mask contains."""
+    return recovery_kernel(problem, reduce(and_, masks, (1 << problem.dim) - 1))
+
+
+@pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
+def test_kernel_recovery_matches_the_reference_on_every_final_mask(name, filtering):
+    """Every final zero set of the fixture runs gives the reference's ray,
+    with the run's kernel and with a whole-problem one."""
+    problem = problem_named(name)
+    masks = final_masks(problem, RunConfig(filtering=filtering))
+    assert check_against_reference(problem, masks, run_kernel(problem, masks)) == len(masks)
+    assert check_against_reference(problem, masks) == len(masks)
+
+
+def test_kernel_recovery_matches_the_reference_on_the_unfiltered_loop():
+    """The unfiltered n = 6 loop keeps 393 final vertices, inadmissible ones
+    among them, with up to 10 unknowns a ray."""
+    problem = standard_matching_equations(twisted_layered_loop(6))
+    masks = final_masks(problem, RunConfig(filtering=False))
+    assert len(masks) == 393
+    kernel = run_kernel(problem, masks)
+    assert check_against_reference(problem, masks, kernel) == 393
+    unknowns = [sum(1 for f in kernel.free if not mask >> f & 1) for mask in masks]
+    assert (min(unknowns), max(unknowns)) == (1, 10)
+
+
+@pytest.mark.parametrize("name", ["gieseking", "onetet", "s2xs1", "loop9"])
+def test_kernel_recovery_matches_the_reference_on_random_masks(name):
+    """Uniform random masks, and masks near the final zero sets (one bit
+    flipped, two of them ANDed, extra bits set): the same ray or both raise
+    `InternalError`, with a whole-problem kernel and, on the masks that
+    contain its zero set, with the kernel of part of a final zero set."""
+    problem = problem_named(name)
+    d = problem.dim
+    rng = random.Random(31)
+    finals = final_masks(problem)
+    masks = [rng.getrandbits(d) for _ in range(60)]
+    masks += [rng.choice(finals) ^ 1 << rng.randrange(d) for _ in range(60)]
+    masks += [rng.choice(finals) & rng.choice(finals) for _ in range(30)]
+    masks += [rng.choice(finals) | rng.getrandbits(d) & rng.getrandbits(d) for _ in range(30)]
+    rays = check_against_reference(problem, masks)
+    assert 0 < rays < len(masks)
+    zeros = rng.choice(finals) & rng.choice(finals) & rng.getrandbits(d)
+    inside = [m for m in finals + masks if m & zeros == zeros]
+    assert check_against_reference(problem, inside, recovery_kernel(problem, zeros)) > 0
+
+
+def test_kernel_recovery_edge_cases():
+    """One unknown, a pivot entry other than 1, no unknown, nullity 2,
+    mixed signs, a pivot coordinate left zero, and a column in the kernel's
+    zero set."""
+    line = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
+    assert recovery_kernel(line) == (0, 0b1, {0: 1}, {1: [(0, -1)]})  # one unknown, y_1
+    half = EnumerationProblem(dim=2, equations=((2, -1),), groups=())
+    assert recovery_kernel(half) == (0, 0b1, {0: 2}, {1: [(0, -1)]})  # x_0 = y_1 / 2
+    for problem, mask, coords in ((line, 0, (1, 1)), (half, 0, (1, 2))):
+        assert recover(problem, mask) == Ray(coords)
+        assert check_against_reference(problem, [mask]) == 1
+    refused = [
+        (line, 0b10),  # no unknown left: only x = 0 solves it
+        (EnumerationProblem(dim=3, equations=((1, -1, 0),), groups=()), 0),  # nullity 2
+        (EnumerationProblem(dim=2, equations=((1, 1),), groups=()), 0),  # generator (1, -1)
+        (EnumerationProblem(dim=2, equations=((1, 0),), groups=()), 0),  # x_0 = 0 off the mask
+    ]
+    for problem, mask in refused:
+        assert check_against_reference(problem, [mask]) == 0
+    # x_2 = 0 on every ray: the kernel leaves column 2 out, and refuses a
+    # mask that misses it.
+    problem = EnumerationProblem(dim=3, equations=((1, -1, 0), (0, 0, 1)), groups=())
+    kernel = recovery_kernel(problem, 0b100)
+    assert kernel == (0b100, 0b1, {0: 1}, {1: [(0, -1)]})
+    assert check_against_reference(problem, [0b100], kernel) == 1
+    with pytest.raises(InternalError, match="recovery kernel left out"):
+        recover(problem, 0, kernel)
+
+
+@pytest.mark.parametrize("name,filtering", [("s2xs1", True), ("s2xs1", False), ("loop9", True)])
+def test_run_recovers_each_final_vertex_once(monkeypatch, name, filtering):
+    """The contract a tracer that wraps `dd_engine`'s globals relies on:
+    under `inner`, `run` calls `recover` once per final vertex, and
+    `nullspace_generator` only inside a `recover` call, once each; under
+    `full` it calls neither."""
+    problem = problem_named(name)
+    calls = Counter()
+    depth = [0]
+    real_recover, real_nullspace = dd_engine.recover, dd_engine.nullspace_generator
+
+    def counted_recover(*args, **kwargs):
+        calls["recover"] += 1
+        depth[0] += 1
+        try:
+            return real_recover(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_nullspace(*args, **kwargs):
+        calls["nullspace inside recover" if depth[0] else "nullspace outside recover"] += 1
+        return real_nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(dd_engine, "recover", counted_recover)
+    monkeypatch.setattr(dd_engine, "nullspace_generator", counted_nullspace)
+    for representation in ("inner", "full"):
+        calls.clear()
+        final = final_masks(problem, RunConfig(representation=representation, filtering=filtering))
+        if representation == "inner":
+            assert calls == {"recover": len(final), "nullspace inside recover": len(final)}
+        else:
+            assert calls == {}
 
 
 def two_limb_cone(seed):
@@ -902,25 +1030,6 @@ def test_loop12_pair_split_is_pinned():
     )
     assert counts["compatible"] - counts["bulk"] - counts["tested"] == 909
     assert stats.max_vertex_count == 1_585
-
-
-def test_restrict_by_support_matches_the_entry_pass():
-    """Given the rows' support masks, `restrict` drops the rows inside the
-    mask with one AND and gives what the pass over every entry gives, on
-    dense random masks (most rows inside) and on loop9's final zero sets."""
-    rows = [sparse_row(row) for row in LOOP9.equations]
-    supports = [sum(1 << j for j in row) for row in rows]
-    rng = random.Random(11)
-    d = LOOP9.dim
-    masks = [0, (1 << d) - 1]
-    masks += [rng.getrandbits(d) | rng.getrandbits(d) | rng.getrandbits(d) for _ in range(200)]
-    _, _, trace = run_tracing_zero_sets(LOOP9)
-    masks += trace[-1]
-    dropped = 0
-    for mask in masks:
-        assert restrict(rows, mask, d, supports) == restrict(rows, mask, d), mask
-        dropped += sum(1 for support in supports if not support & ~mask)
-    assert dropped > 0
 
 
 @pytest.mark.parametrize("adjacency", ["comb", "alg"])

@@ -12,6 +12,7 @@ from conedd.exact_linalg import (
     gcd_normalize,
     nullspace_generator,
     rank,
+    rref,
     sparse_row,
     unit_row,
     vector_gcd,
@@ -120,9 +121,10 @@ def test_nullspace_generator_scaling():
     assert gen == gcd_normalize(gen)
 
 
-def _gauss_jordan(rows, ncols):
-    """Reference over the rationals: (rank, nullspace basis) by Gauss-Jordan
-    elimination on Fractions.  Basis vector f has a 1 at free column f."""
+def _rref_fraction(rows, ncols):
+    """Reference over the rationals: the reduced row echelon form by
+    Gauss-Jordan elimination on Fractions, as (rows, pivot columns), each
+    row scaled to 1 at its pivot."""
     m = [[Fraction(x) for x in r] for r in rows]
     piv_cols = []
     for c in range(ncols):
@@ -137,6 +139,13 @@ def _gauss_jordan(rows, ncols):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         piv_cols.append(c)
+    return m[: len(piv_cols)], piv_cols
+
+
+def _gauss_jordan(rows, ncols):
+    """Reference over the rationals: (rank, nullspace basis) by Gauss-Jordan
+    elimination on Fractions.  Basis vector f has a 1 at free column f."""
+    m, piv_cols = _rref_fraction(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in piv_cols):
         v = [Fraction(0)] * ncols
@@ -185,6 +194,35 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(matrices)
 def test_rank_matches_fraction_reference(rows):
     assert rank(sparse(rows)) == _rank_fraction(rows)
+
+
+@settings(max_examples=200)
+@given(matrices)
+def test_rref_matches_fraction_reference(rows):
+    """`rref` keys each row by its pivot column, the pivot columns of the
+    Gauss-Jordan reference; a row divided by its pivot entry is that
+    pivot's reference row, and its entries stay integers at gcd 1.  The
+    input rows are left as they were."""
+    ncols = len(rows[0])
+    want, piv_cols = _rref_fraction(rows, ncols)
+    given_rows = sparse(rows)
+    copies = [dict(r) for r in given_rows]
+    got = rref(given_rows)
+    assert given_rows == copies
+    assert sorted(got) == piv_cols
+    for c, ref in zip(piv_cols, want):
+        row = got[c]
+        assert vector_gcd(row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[c]) for j in range(ncols)] == ref
+
+
+def test_rref_examples():
+    assert rref([]) == {}
+    assert rref([{}]) == {}
+    # Back-substitution clears column 1 from the row of pivot 0.
+    assert rref(sparse([(1, 1, 1), (0, 2, -2)])) == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
+    assert rref(sparse([(0, 3, 6), (0, 1, 2)])) == {1: {1: 1, 2: 2}}
+    assert sorted(rref(sparse(GIESEKING_ROWS))) == [0, 1, 2, 4, 5]
 
 
 @given(matrices)
