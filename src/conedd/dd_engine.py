@@ -22,10 +22,15 @@ vertices already hold their coordinates and `inner` ones are resolved by
 row echelon form once (`recovery_kernel`), over the columns that are not
 zero on every final vertex; that form gives each pivot coordinate in terms
 of the free ones.  A ray's unknowns are then the free columns outside its
-zero set: 1 to 12, 9 on average, on loop12 (d = 84), 5.5 on the unfiltered
-n = 6 loop and about 2 on random closed 8-tetrahedron triangulations, and
-only the pivot rows inside the zero set constrain them.  `Ray`, the output
-type, holds the coordinates only.
+zero set, and only the pivot rows inside the zero set constrain them.  So
+the columns most final rays are non-zero on should be pivots: when the
+counts of rays non-zero on each column show that this pays,
+`final_recovery_kernel` builds a second form pivoting on those columns
+first and keeps the cheaper one.  That leaves 3.8 unknowns a ray on
+average on loop12 (d = 84; 9 in the input order), about 4.6 on loop15,
+5.5 on the unfiltered n = 6 loop (input order kept) and about 2 on random
+closed 8-tetrahedron triangulations.  `Ray`, the output type, holds the
+coordinates only.
 
 The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
@@ -72,7 +77,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, itemgetter, sub
+from operator import add, and_, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
@@ -503,10 +508,11 @@ def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex
     is deleted.  Under `full` it is None, and the zero set of the combined
     coordinates must equal Z(u) & Z(w).
 
-    The values are built in C, by `map` over `operator` functions: w + u when
-    a = 1 and b = -1 (72% of census8's combinations), else a*w - b*u.  Each
-    one is at most (a - b) times the largest |x| of u and w, which is how
-    `step` carries `EngineState.value_bound`.
+    When a = 1 and b = -1 (72% of census8's combinations) the values w + u
+    are built in C, by `map` over `operator.add`; otherwise a*w - b*u is a
+    list comprehension, faster than mapping over two `int.__mul__` method
+    wrappers.  Each value is at most (a - b) times the largest |x| of u and
+    w, which is how `step` carries `EngineState.value_bound`.
     """
     if a <= 0 or b >= 0:
         raise InternalError("combine requires u on the positive side and w on the negative side")
@@ -514,7 +520,7 @@ def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex
     if a == 1 and b == -1:
         values = list(map(add, w.values, u.values))
     else:
-        values = list(map(sub, map(a.__mul__, w.values), map(b.__mul__, u.values)))
+        values = [a * x - b * y for x, y in zip(w.values, u.values)]
     if drop is None:
         if zero_mask(values) != mask:
             raise InternalError("combined ray zero set does not match its coordinates")
@@ -689,29 +695,80 @@ class RecoveryKernel(NamedTuple):
     free: dict[int, list[tuple[int, int]]]
 
 
-def recovery_kernel(problem: EnumerationProblem, zeros: int = 0) -> RecoveryKernel:
+def recovery_kernel(
+    problem: EnumerationProblem, zeros: int = 0, order: Optional[Sequence[int]] = None
+) -> RecoveryKernel:
     """The `RecoveryKernel` of the problem's equations restricted to the
     columns outside `zeros`, keeping their indices; one exact Gauss-Jordan
     pass (`rref`) over the rows not left empty.
 
-    `run` passes the columns zero on every final vertex: on census8 they
-    are a third of the columns, and the rays per instance are few, so the
-    pass over every column would cost more than it saves."""
+    `rref` pivots on the lowest columns it can.  `order`, a permutation of
+    the columns outside `zeros`, makes it pivot on the earliest columns of
+    that order instead: the columns are relabelled by their place in it for
+    the pass and mapped back after, and a sequence that is not such a
+    permutation raises `ValueError`.  Any order gives the same rays, since
+    every echelon form of the restricted equations has the same solutions."""
+    cols = [j for j in range(problem.dim) if not zeros >> j & 1]
+    label = None
+    if order is not None:
+        if sorted(order) != cols:
+            raise ValueError("order is not a permutation of the columns outside zeros")
+        label = dict(zip(order, range(len(order))))
     rows = []
     for equation in problem.equations:
         row = {j: x for j, x in enumerate(equation) if x and not zeros >> j & 1}
         if row:
-            rows.append(row)
+            rows.append(row if label is None else {label[j]: x for j, x in row.items()})
     reduced = rref(rows)
-    free: dict[int, list[tuple[int, int]]] = {
-        j: [] for j in range(problem.dim) if not zeros >> j & 1 and j not in reduced
-    }
+    if order is not None:
+        reduced = {order[p]: {order[j]: x for j, x in row.items()} for p, row in reduced.items()}
+    free: dict[int, list[tuple[int, int]]] = {j: [] for j in cols if j not in reduced}
     for p, row in reduced.items():
         for j, c in row.items():
             if j != p:
                 free[j].append((p, c))
     pivots = sum(1 << p for p in reduced)
     return RecoveryKernel(zeros, pivots, {p: row[p] for p, row in reduced.items()}, free)
+
+
+def final_recovery_kernel(problem: EnumerationProblem, masks: Sequence[int]) -> RecoveryKernel:
+    """The `recovery_kernel` `run` recovers the final vertices from, given
+    their zero sets `masks`: over the columns outside the zero set every
+    mask contains.  On census8 those columns left out are a third of them,
+    and the rays per instance are few, so a pass over every column would
+    cost more than it saves.
+
+    A ray's unknowns are the free columns it is non-zero on, so the columns
+    most rays are non-zero on should be pivots.  With n_j the number of
+    masks that miss column j, the input-order kernel's free columns F give
+    U = sum of n_f over F unknowns in all; no order can give fewer than L,
+    the sum of the |F| smallest n_j.  Only when 2L < U is a second kernel
+    built, pivoting on the columns by n_j, largest first, ties by index;
+    the kernel kept is the one with the shorter walk, sum of n_f times the
+    length of f's column list, that `recover` makes over all the masks.
+    """
+    d = problem.dim
+    zeros = reduce(and_, masks, (1 << d) - 1)
+    kernel = recovery_kernel(problem, zeros)
+    # n_j in C: column j's 8-bit chunk of every mask, one byte a mask,
+    # translated to b"1" where the mask misses bit j.
+    width = (d + 7) // 8
+    rows = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    counts = {
+        j: rows[j >> 3 :: width].translate(_DISJOINT[1 << (j & 7)]).count(b"1")
+        for j in range(d)
+        if not zeros >> j & 1
+    }
+    unknowns = sum(map(counts.__getitem__, kernel.free))
+    least = sum(sorted(counts.values())[: len(kernel.free)])
+    if 2 * least >= unknowns:
+        return kernel
+    reordered = recovery_kernel(problem, zeros, sorted(counts, key=counts.__getitem__, reverse=True))
+
+    def walk(k: RecoveryKernel) -> int:
+        return sum(counts[f] * len(col) for f, col in k.free.items())
+
+    return reordered if walk(reordered) < walk(kernel) else kernel
 
 
 def recover(problem: EnumerationProblem, mask: int, kernel: Optional[RecoveryKernel] = None) -> Ray:
@@ -731,8 +788,9 @@ def recover(problem: EnumerationProblem, mask: int, kernel: Optional[RecoveryKer
     divided by its gcd.  The solutions y match those of the equations with
     the mask's coordinates 0 one to one, so the ray is the one a restricted
     elimination of all the equations gives.  The constraints go in with the
-    rows holding the highest unknowns first, which on loop12 takes 24
-    eliminations a ray instead of 41.
+    rows holding the highest unknowns first, which on the unfiltered n = 6
+    loop takes 7.3 eliminations a ray instead of 9.0 (loop12, with its
+    count-ordered kernel: 12.6 instead of 12.7).
     """
     d = problem.dim
     if mask >> d:
@@ -785,10 +843,9 @@ def run(
 
     Returns the final rays (admissible ones only when filtering is on),
     gcd-normalized, deduplicated and sorted lexicographically, together with
-    the per-stage statistics.  Under `inner` the coordinates come from one
-    `recovery_kernel` over the columns not zero on every final vertex, and
-    one `recover` call per final vertex; `nullspace_generator` is called
-    only inside those.
+    the per-stage statistics.  Under `inner` the coordinates come from the
+    `final_recovery_kernel` of the final zero sets and one `recover` call
+    per final vertex; `nullspace_generator` is called only inside those.
     """
     if config is None:
         config = RunConfig()
@@ -815,8 +872,7 @@ def run(
                 stage_hook(state)
 
         if config.representation == "inner":
-            zeros = reduce(and_, (v.mask for v in state.vertices), (1 << d) - 1)
-            kernel = recovery_kernel(problem, zeros)
+            kernel = final_recovery_kernel(problem, [v.mask for v in state.vertices])
             finals = [recover(problem, v.mask, kernel) for v in state.vertices]
         else:
             finals = [Ray(tuple(v.values)) for v in state.vertices]

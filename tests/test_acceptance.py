@@ -7,16 +7,15 @@ loop instance is opt-in: `pytest -m slow`.
 
 import random
 import time
-from functools import reduce
 from itertools import product
-from operator import and_
 from pathlib import Path
 
 import pytest
 
+from conedd import dd_engine
 from conedd.cli import main
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
-from conedd.dd_engine import RunConfig, prefilter_need, recovery_kernel, run
+from conedd.dd_engine import RunConfig, final_recovery_kernel, prefilter_need, run
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import (
@@ -219,19 +218,24 @@ def test_representations_agree_on_random_closed_triangulations():
     report("representation-crosscheck-random", not bad, "; ".join(bad) or "90 triangulations")
 
 
-def test_recovery_matches_the_reference_on_random_closed_triangulations():
+def test_recovery_matches_the_reference_on_random_closed_triangulations(monkeypatch):
     """Criterion: on the same 90 seeded random closed triangulations, every
     final zero set recovers, from the run's reduced row echelon form, the
     ray the old restrict-and-reduce recovery gives.  Each run has columns
-    that are zero on every ray, which that form leaves out."""
+    that are zero on every ray, which that form leaves out, and each keeps
+    the input column order without building a second form."""
+    built = []
+    real = dd_engine.recovery_kernel
+    monkeypatch.setattr(dd_engine, "recovery_kernel", lambda *a: built.append(a) or real(*a))
     rng = random.Random(20100)
     bad = []
     for index in range(90):
         problem = standard_matching_equations(random_closed_triangulation(3 + index % 3, rng))
         last = []
         run(problem, stage_hook=lambda s: last.__setitem__(slice(None), [v.mask for v in s.vertices]))
-        kernel = recovery_kernel(problem, reduce(and_, last, (1 << problem.dim) - 1))
-        if not kernel.zeros or check_against_reference(problem, last, kernel) != len(last):
+        built.clear()
+        kernel = final_recovery_kernel(problem, last)
+        if not kernel.zeros or len(built) != 1 or check_against_reference(problem, last, kernel) != len(last):
             bad.append(f"triangulation {index}")
     report("recovery-reference-random", not bad, "; ".join(bad) or "90 triangulations")
 

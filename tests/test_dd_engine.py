@@ -3,9 +3,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from functools import reduce
 from itertools import product
-from operator import and_
 from pathlib import Path
 
 import pytest
@@ -25,6 +23,7 @@ from conedd.dd_engine import (
     adjacent_algebraic,
     adjacent_combinatorial,
     combine,
+    final_recovery_kernel,
     group_partners,
     hyperplane_values,
     init_vertices,
@@ -747,6 +746,8 @@ FIXTURE_RUNS = [(name, True) for name in ("gieseking", "onetet", "s2xs1", "loop9
 def problem_named(name):
     if name == "gieseking":
         return GIESEKING
+    if name == "loop6":  # the unfiltered benchmark loop; it has no fixture
+        return standard_matching_equations(twisted_layered_loop(6))
     text = (FIXTURES / f"{name}.tri").read_text()
     return standard_matching_equations(parse_triangulation(text))
 
@@ -756,32 +757,69 @@ def final_masks(problem, config=None):
     return run_tracing_zero_sets(problem, config)[2][-1]
 
 
-def run_kernel(problem, masks):
-    """The `recovery_kernel` `run` builds: over the columns outside the
-    zero set every mask contains."""
-    return recovery_kernel(problem, reduce(and_, masks, (1 << problem.dim) - 1))
-
-
 @pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
 def test_kernel_recovery_matches_the_reference_on_every_final_mask(name, filtering):
     """Every final zero set of the fixture runs gives the reference's ray,
     with the run's kernel and with a whole-problem one."""
     problem = problem_named(name)
     masks = final_masks(problem, RunConfig(filtering=filtering))
-    assert check_against_reference(problem, masks, run_kernel(problem, masks)) == len(masks)
+    kernel = final_recovery_kernel(problem, masks)
+    assert check_against_reference(problem, masks, kernel) == len(masks)
     assert check_against_reference(problem, masks) == len(masks)
 
 
 def test_kernel_recovery_matches_the_reference_on_the_unfiltered_loop():
     """The unfiltered n = 6 loop keeps 393 final vertices, inadmissible ones
     among them, with up to 10 unknowns a ray."""
-    problem = standard_matching_equations(twisted_layered_loop(6))
+    problem = problem_named("loop6")
     masks = final_masks(problem, RunConfig(filtering=False))
     assert len(masks) == 393
-    kernel = run_kernel(problem, masks)
+    kernel = final_recovery_kernel(problem, masks)
     assert check_against_reference(problem, masks, kernel) == 393
     unknowns = [sum(1 for f in kernel.free if not mask >> f & 1) for mask in masks]
     assert (min(unknowns), max(unknowns)) == (1, 10)
+
+
+def kernel_work(kernel, masks):
+    """`recover`'s work over the masks with the kernel: the unknowns (free
+    columns outside a mask) and the column-list entries walked for them."""
+    unknowns = walk = 0
+    for mask in masks:
+        for f, column in kernel.free.items():
+            if not mask >> f & 1:
+                unknowns += 1
+                walk += len(column)
+    return unknowns, walk
+
+
+@pytest.mark.parametrize(
+    "name,filtering,rays,input_work,work,builds",
+    [
+        ("loop9", True, 77, (522, 12_037), (232, 4_067), 2),
+        ("loop12", True, 323, (2_907, 88_777), (1_224, 23_348), 2),
+        ("loop6", False, 393, (2_164, 32_754), (2_164, 32_754), 1),
+    ],
+)
+def test_final_kernel_order_and_work_are_pinned(
+    monkeypatch, name, filtering, rays, input_work, work, builds
+):
+    """loop9 and loop12 pivot on the columns most final rays are non-zero
+    on (loop12: 9 → 3.8 unknowns a ray), and recover every final ray as the
+    reference does; the unfiltered n = 6 loop, whose counts are flat, builds
+    the input-order kernel and no other."""
+    problem = problem_named(name)
+    masks = final_masks(problem, RunConfig(filtering=filtering))
+    assert len(masks) == rays
+    built = []
+    real = dd_engine.recovery_kernel
+    monkeypatch.setattr(dd_engine, "recovery_kernel", lambda *a: built.append(a) or real(*a))
+    kernel = final_recovery_kernel(problem, masks)
+    assert len(built) == builds
+    in_order = real(problem, kernel.zeros)
+    assert kernel_work(in_order, masks) == input_work
+    assert kernel_work(kernel, masks) == work
+    assert (kernel == in_order) == (builds == 1)
+    assert check_against_reference(problem, masks, kernel) == rays
 
 
 @pytest.mark.parametrize("name", ["gieseking", "onetet", "s2xs1", "loop9"])
@@ -789,7 +827,9 @@ def test_kernel_recovery_matches_the_reference_on_random_masks(name):
     """Uniform random masks, and masks near the final zero sets (one bit
     flipped, two of them ANDed, extra bits set): the same ray or both raise
     `InternalError`, with a whole-problem kernel and, on the masks that
-    contain its zero set, with the kernel of part of a final zero set."""
+    contain its zero set, with the kernel of part of a final zero set (in
+    the input order and in a random one) and with the run's kernel (on
+    loop9 the count-ordered one)."""
     problem = problem_named(name)
     d = problem.dim
     rng = random.Random(31)
@@ -803,12 +843,19 @@ def test_kernel_recovery_matches_the_reference_on_random_masks(name):
     zeros = rng.choice(finals) & rng.choice(finals) & rng.getrandbits(d)
     inside = [m for m in finals + masks if m & zeros == zeros]
     assert check_against_reference(problem, inside, recovery_kernel(problem, zeros)) > 0
+    columns = [j for j in range(d) if not zeros >> j & 1]
+    shuffled = recovery_kernel(problem, zeros, rng.sample(columns, len(columns)))
+    assert check_against_reference(problem, inside, shuffled) > 0
+    kernel = final_recovery_kernel(problem, finals)
+    inside = [m for m in masks if m & kernel.zeros == kernel.zeros]
+    assert check_against_reference(problem, inside, kernel) > 0
 
 
 def test_kernel_recovery_edge_cases():
     """One unknown, a pivot entry other than 1, no unknown, nullity 2,
-    mixed signs, a pivot coordinate left zero, and a column in the kernel's
-    zero set."""
+    mixed signs, a pivot coordinate left zero, a column in the kernel's
+    zero set, and a column order: a permutation of the columns outside the
+    kernel's zero set, or `ValueError`."""
     line = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
     assert recovery_kernel(line) == (0, 0b1, {0: 1}, {1: [(0, -1)]})  # one unknown, y_1
     half = EnumerationProblem(dim=2, equations=((2, -1),), groups=())
@@ -832,6 +879,13 @@ def test_kernel_recovery_edge_cases():
     assert check_against_reference(problem, [0b100], kernel) == 1
     with pytest.raises(InternalError, match="recovery kernel left out"):
         recover(problem, 0, kernel)
+    # Pivoting on column 1 first: x_1 = y_0, and the same ray.
+    swapped = recovery_kernel(problem, 0b100, [1, 0])
+    assert swapped == (0b100, 0b10, {1: -1}, {0: [(1, 1)]})
+    assert recover(problem, 0b100, swapped) == recover(problem, 0b100, kernel) == Ray((1, 1, 0))
+    for order in ([0], [1, 0, 0], [0, 2], [0, 1, 2], [1, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            recovery_kernel(problem, 0b100, order)
 
 
 @pytest.mark.parametrize("name,filtering", [("s2xs1", True), ("s2xs1", False), ("loop9", True)])
