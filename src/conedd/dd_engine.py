@@ -8,20 +8,23 @@ sides.  With filtering enabled, only pairs whose combination can still meet
 the group constraints are considered, so inadmissible rays never enter the
 working sets.
 
-Every working vertex is a `Vertex`: its zero set as an int bitmask plus a
-list of integer values.  The bare mask is the only zero-set type; recovery
-takes it too.  The representation switch decides only what the values are.
-Under `full` they are the coordinates, and a hyperplane value is a dot
-product.  Under `inner` they are the inner products with the
-hyperplanes not yet processed, in the order of `EngineState.remaining`; a
-hyperplane value is a list entry, and each step deletes the processed entry,
-so vertices shrink as the run goes on.  Compatibility, the prefilter and the
-combinatorial adjacency test read only the masks.  At the end, `full`
-vertices already hold their coordinates and `inner` ones are resolved by
-`recover` from their zero-set masks.  `run` brings the equations to reduced
-row echelon form once (`recovery_kernel`), over the columns that are not
-zero on every final vertex; that form gives each pivot coordinate in terms
-of the free ones.  A ray's unknowns are then the free columns outside its
+A stage is two parallel lists, with no object per vertex:
+`EngineState.masks` holds each working vertex's zero set as an int bitmask,
+and `EngineState.vertices` its row of integer values, in the same order.
+The bare mask is the only zero-set type; recovery takes it too, and the
+pair loop reads the masks of a stage straight from the state.  The
+representation switch decides only what the values are.  Under `full` they
+are the coordinates, and a hyperplane value is a dot product.  Under
+`inner` they are the inner products with the hyperplanes not yet processed,
+in the order of `EngineState.remaining`; a hyperplane value is a list
+entry, and each step deletes the processed entry, so the rows shrink as the
+run goes on.  Compatibility, the prefilter and the combinatorial adjacency
+test read only the masks.  At the end, `full` vertices already hold their
+coordinates and `inner` ones are resolved by `recover` from their zero-set
+masks.  `run` brings the equations to reduced row echelon form once
+(`recovery_kernel`), over the columns that are not zero on every final
+vertex; that form gives each pivot coordinate in terms of the free ones.
+A ray's unknowns are then the free columns outside its
 zero set, and only the pivot rows inside the zero set constrain them.  So
 the columns most final rays are non-zero on should be pivots: when the
 counts of rays non-zero on each column show that this pays,
@@ -45,11 +48,11 @@ are the partners avoiding Z(u) & ~Z(p), save p itself.  So one query
 removes them before they reach the prefilter or the adjacency test (on
 loop12 63,821 of the 85,622 compatible pairs, leaving 20,892 tested).  The
 answer stays exact because the zero sets of V_{i-1} are pairwise distinct:
-they belong to distinct extreme rays.  The dimensional prefilter is one
-threshold per stage (`prefilter_need`) that a pair's common zero count must
-reach.  The group filter's tables (`GroupTable`) depend only on the
-problem's groups, so they are built once per run and handed from state to
-state.
+they belong to distinct extreme rays, and `step` checks that they are at
+every stage that forms pairs.  The dimensional prefilter is one threshold
+per stage (`prefilter_need`) that a pair's common zero count must reach.
+The group filter's tables (`GroupTable`) depend only on the problem's
+groups, so they are built once per run and handed from state to state.
 
 Each step appends one `Stage` record to `RunStats.stages`, with the
 compatible, bulk-removed and tested pairs next to |S_0|, |S_+|, |S_-|,
@@ -98,20 +101,6 @@ class Ray:
     """Output ray: non-negative integer coordinates at gcd 1."""
 
     coords: IntVector
-
-
-class Vertex(NamedTuple):
-    """Working vertex: zero-set bitmask plus coordinates (`full`) or the
-    products with the unprocessed hyperplanes (`inner`).
-
-    The values are a list, not a tuple: under `inner` they lose one entry a
-    stage, and freed tuples of every length would fill CPython's per-length
-    tuple free lists (peak RSS 2.25 MiB against 1.625 MiB on the unfiltered
-    n = 6 loop).
-    """
-
-    mask: int
-    values: list[int]
 
 
 @dataclass(frozen=True)
@@ -187,11 +176,6 @@ class RunStats:
         return [s.pairs for s in self.stages]
 
     @property
-    def order(self) -> tuple[int, ...]:
-        """The hyperplanes in the order they were processed."""
-        return tuple(s.hyperplane for s in self.stages)
-
-    @property
     def max_vertex_count(self) -> int:
         return max(self.sizes)
 
@@ -220,9 +204,17 @@ class GroupTable(NamedTuple):
 
 @dataclass
 class EngineState:
-    """V_i with its bookkeeping.  `processed` lists the hyperplanes in the
-    order they were handled; `remaining` lists the others, in the order of
-    the values of an `inner` vertex.
+    """V_i with its bookkeeping, as two parallel lists: `masks` holds the
+    zero sets and `vertices` the value rows, vertex j being `masks[j]` and
+    `vertices[j]`.  A value row holds the coordinates under `full`, and the
+    products with the unprocessed hyperplanes under `inner`.  `processed`
+    lists the hyperplanes in the order they were handled; `remaining` lists
+    the others, in the order of the values of an `inner` row.
+
+    The rows are lists, not tuples: under `inner` they lose one entry a
+    stage, and freed tuples of every length would fill CPython's per-length
+    tuple free lists (peak RSS 2.25 MiB against 1.625 MiB on the unfiltered
+    n = 6 loop).
 
     `value_bound` is an upper bound on |x| over every stored value of
     `vertices`, carried from stage to stage so that the memory proxy need
@@ -234,7 +226,8 @@ class EngineState:
 
     problem: EnumerationProblem
     config: RunConfig
-    vertices: list[Vertex]
+    masks: list[int]
+    vertices: list[list[int]]
     processed: list[int]
     remaining: list[int]
     sep: int
@@ -262,10 +255,9 @@ _SUPERSETS = [bytes(b"01"[v & b == b] for v in range(256)) for b in range(256)]
 _DISJOINT = [table[::-1] for table in _SUPERSETS]
 
 
-def vertex_bytes(v: Vertex, dim: int) -> int:
-    """Logical size of a stored vertex: 8 bytes per mask word and per 64-bit
-    limb of each stored value."""
-    values = v.values
+def vertex_bytes(values: list[int], dim: int) -> int:
+    """Logical size of a stored vertex, given its value row: 8 bytes per
+    mask word and per 64-bit limb of each stored value."""
     if not values or (-_ONE_LIMB < min(values) and max(values) < _ONE_LIMB):
         limbs = len(values)
     else:
@@ -274,10 +266,10 @@ def vertex_bytes(v: Vertex, dim: int) -> int:
 
 
 def stage_bytes(
-    vertices: Sequence[Vertex], dim: int, bound: int = 0, width: Optional[int] = None
+    vertices: Sequence[list[int]], dim: int, bound: int = 0, width: Optional[int] = None
 ) -> tuple[int, int]:
-    """The memory proxy of a stage, `vertex_bytes` summed in bulk, and an
-    upper bound on |x| over its stored values.
+    """The memory proxy of a stage, given its value rows, `vertex_bytes`
+    summed in bulk, and an upper bound on |x| over its stored values.
 
     `bound` is such a bound, or 0 for unknown.  Below 2^64 every value fits
     in one limb and none is read.  Otherwise one scan, a `min` and a `max`
@@ -287,25 +279,27 @@ def stage_bytes(
     built by `run`; then the one-limb count is 8*|V|*(mask words + width),
     and the vertices are not walked for it."""
     if not 0 < bound < _ONE_LIMB:
-        lists = [values for _, values in vertices if values]
+        lists = list(filter(None, vertices))
         bound = max(max(map(max, lists)), -min(map(min, lists))) if lists else 0
         if bound >= _ONE_LIMB:
             return sum(vertex_bytes(v, dim) for v in vertices), bound
     words = (dim + 63) // 64
     if width is None:
-        return 8 * (len(vertices) * words + sum(map(len, map(itemgetter(1), vertices)))), bound
+        return 8 * (len(vertices) * words + sum(map(len, vertices))), bound
     return 8 * len(vertices) * (words + width), bound
 
 
-def init_vertices(problem: EnumerationProblem, representation: str) -> list[Vertex]:
-    """V_0: the d unit rays, in the requested representation."""
+def init_vertices(
+    problem: EnumerationProblem, representation: str
+) -> tuple[list[int], list[list[int]]]:
+    """V_0, the d unit rays in the requested representation: their zero
+    sets and their value rows."""
     d = problem.dim
     full_bits = (1 << d) - 1
+    masks = [full_bits ^ (1 << j) for j in range(d)]
     if representation == "full":
-        return [Vertex(full_bits ^ (1 << j), list(unit_row(d, j))) for j in range(d)]
-    return [
-        Vertex(full_bits ^ (1 << j), [row[j] for row in problem.equations]) for j in range(d)
-    ]
+        return masks, [list(unit_row(d, j)) for j in range(d)]
+    return masks, [[row[j] for row in problem.equations] for j in range(d)]
 
 
 def _position(state: EngineState, k: int) -> int:
@@ -326,8 +320,8 @@ def _values_at(state: EngineState, k: int, position: int) -> list[int]:
     """`hyperplane_values`, given hyperplane k's `_position`."""
     if state.config.representation == "full":
         row = state.problem.equations[k]
-        return [dot(row, v.values) for v in state.vertices]
-    return [v.values[position] for v in state.vertices]
+        return [dot(row, v) for v in state.vertices]
+    return list(map(itemgetter(position), state.vertices))
 
 
 def prefilter_need(mode: str, processed_count: int, sep_before: int, dim: int) -> int:
@@ -447,17 +441,18 @@ def group_partners(
 
 
 def adjacent_combinatorial(
-    u: int, w: int, masks: Sequence[int], containing: Callable[[int], int]
+    u: int, w: int, common: int, containing: Callable[[int], int]
 ) -> Optional[int]:
     """Combinatorial adjacency test for the vertices at positions u and w
-    of V_{i-1}: the lowest position of a witness, a third vertex whose zero
-    set contains Z(u) & Z(w), or None when there is none and the pair is
-    adjacent.  `containing` is the `zero_index` query of `masks`.
+    of V_{i-1}, given `common`, their common zero set Z(u) & Z(w): the
+    lowest position of a witness, a third vertex whose zero set contains
+    `common`, or None when there is none and the pair is adjacent.
+    `containing` is the `zero_index` query of the zero sets of V_{i-1}.
 
     The zero sets of V_{i-1} are pairwise distinct, since they belong to
     distinct extreme rays, so the only copies of Z(u) and Z(w) are at u and
     w.  A witness can be at position 0, so test the result with `is None`."""
-    cand = containing(masks[u] & masks[w]) ^ (1 << u | 1 << w)  # both contain the key
+    cand = containing(common) ^ (1 << u | 1 << w)  # both contain the key
     if not cand:
         return None
     return (cand & -cand).bit_length() - 1
@@ -500,13 +495,16 @@ def adjacent_algebraic(
     return inter.bit_count() + rank(restricted) == problem.dim - 2
 
 
-def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex:
-    """a*w - b*u, divided by the gcd of its values, for u with value a > 0
-    and w with value b < 0 on the hyperplane being processed.
+def combine(
+    u: list[int], w: list[int], a: int, b: int, drop: Optional[int], mask: int
+) -> list[int]:
+    """The value row a*w - b*u, divided by the gcd of its values, for the
+    rows u with value a > 0 and w with value b < 0 on the hyperplane being
+    processed; `mask` is Z(u) & Z(w), the zero set of the result.
 
     Under `inner`, `drop` is the position of that hyperplane's product, which
-    is deleted.  Under `full` it is None, and the zero set of the combined
-    coordinates must equal Z(u) & Z(w).
+    is deleted, and `mask` is not read.  Under `full` `drop` is None, and the
+    zero set of the combined coordinates must equal `mask`.
 
     When a = 1 and b = -1 (72% of census8's combinations) the values w + u
     are built in C, by `map` over `operator.add`; otherwise a*w - b*u is a
@@ -516,11 +514,10 @@ def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex
     """
     if a <= 0 or b >= 0:
         raise InternalError("combine requires u on the positive side and w on the negative side")
-    mask = u.mask & w.mask
     if a == 1 and b == -1:
-        values = list(map(add, w.values, u.values))
+        values = list(map(add, w, u))
     else:
-        values = [a * x - b * y for x, y in zip(w.values, u.values)]
+        values = [a * x - b * y for x, y in zip(w, u)]
     if drop is None:
         if zero_mask(values) != mask:
             raise InternalError("combined ray zero set does not match its coordinates")
@@ -529,7 +526,7 @@ def combine(u: Vertex, w: Vertex, a: int, b: int, drop: Optional[int]) -> Vertex
     g = vector_gcd(values)
     if g > 1:
         values = [x // g for x in values]
-    return Vertex(mask, values)
+    return values
 
 
 def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> EngineState:
@@ -547,11 +544,15 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     (u, w') with Z(u) & Z(w') inside Z(p), save w' = p, so each one removes
     those partners of u not walked yet: `avoiding(Z(u) & ~Z(p))`, one index
     query, in the current 30-bit chunk and in the rest.  That is exact
-    because the zero sets of V_{i-1} are pairwise distinct, and it keeps the
-    walk ascending, so V_i keeps its order.  The removed partners are
-    counted in `bulk`.  `pair_audit` still hears every pair that passes the
-    prefilter, the removed ones as non-adjacent, in the order of a plain
-    double loop.
+    because the zero sets of V_{i-1} are pairwise distinct, which is checked
+    first (`InternalError` if not), and it keeps the walk ascending, so V_i
+    keeps its order.  The removed partners are counted in `bulk`.
+    `pair_audit` still hears every pair that passes the prefilter, the
+    removed ones as non-adjacent, in the order of a plain double loop.
+
+    Z(u) & Z(w) is taken once per walked pair: its count is the prefilter's,
+    it is the adjacency test's key, and it is the zero set of the
+    combination, appended to the new masks beside `combine`'s row.
 
     The group filter relies on every vertex being compatible on its own.
     With filtering on this always holds: the unit rays have one non-zero
@@ -566,36 +567,39 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
-    vertices = state.vertices
+    masks, vertices = state.masks, state.vertices
     position = _position(state, k)
     values = _values_at(state, k, position)
     drop = position if cfg.representation == "inner" else None
     processed_count = len(state.processed)
     sep_before = state.sep
 
-    new_vertices: list[Vertex] = []  # S_0, then the combinations
+    new_masks: list[int] = []  # S_0, then the combinations
+    new_vertices: list[list[int]] = []  # their value rows
     s_pos: list[int] = []  # V_{i-1} positions
     s_neg = 0  # bitset of V_{i-1} positions
-    for i, (v, t) in enumerate(zip(vertices, values)):
+    for i, t in enumerate(values):
         if t == 0:
+            new_masks.append(masks[i])
             if drop is None:
-                new_vertices.append(v)
+                new_vertices.append(vertices[i])
             else:
-                kept = v.values.copy()
+                kept = vertices[i].copy()
                 del kept[drop]
-                new_vertices.append(Vertex(v.mask, kept))
+                new_vertices.append(kept)
         elif t > 0:
             s_pos.append(i)
         else:
             s_neg |= 1 << i
 
-    carried = len(new_vertices)
+    carried = len(new_masks)
     grow = 1  # the largest a - b combined; 1 while no pair is
     compatible_count = 0
     tested = 0
     bulk = 0
     if s_pos and s_neg:
-        masks = [v.mask for v in vertices]
+        if len(set(masks)) != len(masks):
+            raise InternalError(f"two vertices share a zero set before hyperplane {k}")
         containing, avoiding = zero_index(masks)
         partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
@@ -618,8 +622,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             return killed
 
         for ui in s_pos:
-            u, a = vertices[ui], values[ui]
-            u_mask = u.mask
+            u_mask, a = masks[ui], values[ui]
             partners = partners_of(u_mask)
             compatible_count += partners.bit_count()
             killed = 0  # under `pair_audit`: removed in bulk, not yet reported
@@ -631,13 +634,13 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     low = chunk & -chunk
                     chunk ^= low
                     i = base + low.bit_length()
-                    w_mask = masks[i]
-                    zero_count = (u_mask & w_mask).bit_count()
+                    common = u_mask & masks[i]
+                    zero_count = common.bit_count()
                     if zero_count < need:
                         continue
                     tested += 1
                     if comb:
-                        p = adjacent_combinatorial(ui, i, masks, containing)
+                        p = adjacent_combinatorial(ui, i, common, containing)
                         adjacent = p is None
                         if not adjacent and (chunk or partners):
                             # Every partner w' left with Z(u) & Z(w') inside Z(p),
@@ -652,7 +655,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                                 if pair_audit is not None:
                                     killed |= (rest << _CHUNK_BITS | gone) << (base + 1)
                     else:
-                        adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed, rows)
+                        adjacent = adjacent_algebraic(u_mask, masks[i], problem, state.processed, rows)
                     if pair_audit is not None:
                         killed = report_bulk(u_mask, killed, i)
                         pair_audit(processed_count, sep_before, zero_count, adjacent)
@@ -660,7 +663,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                         b = values[i]
                         if a - b > grow:
                             grow = a - b
-                        new_vertices.append(combine(u, vertices[i], a, b, drop))
+                        new_masks.append(common)
+                        new_vertices.append(combine(vertices[ui], vertices[i], a, b, drop, common))
                 base += _CHUNK_BITS
             if killed:
                 report_bulk(u_mask, killed, len(masks))
@@ -676,7 +680,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     ))
     processed = state.processed + [k]
     return EngineState(
-        problem, cfg, new_vertices, processed, remaining, sep, stats, bound, state.group_table
+        problem, cfg, new_masks, new_vertices, processed, remaining, sep, stats, bound,
+        state.group_table,
     )
 
 
@@ -851,12 +856,12 @@ def run(
         config = RunConfig()
     start = time.perf_counter()
     d = problem.dim
-    vertices = init_vertices(problem, config.representation)
+    masks, vertices = init_vertices(problem, config.representation)
     width = d if config.representation == "full" else len(problem.equations)
     mem_bytes, bound = stage_bytes(vertices, d, 0, width)
     stats = RunStats((len(vertices), mem_bytes))
     remaining = list(range(len(problem.equations)))
-    state = EngineState(problem, config, vertices, [], remaining, 0, stats, bound)
+    state = EngineState(problem, config, masks, vertices, [], remaining, 0, stats, bound)
 
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a zero nullspace generator), not bad input.
@@ -872,10 +877,10 @@ def run(
                 stage_hook(state)
 
         if config.representation == "inner":
-            kernel = final_recovery_kernel(problem, [v.mask for v in state.vertices])
-            finals = [recover(problem, v.mask, kernel) for v in state.vertices]
+            kernel = final_recovery_kernel(problem, state.masks)
+            finals = [recover(problem, mask, kernel) for mask in state.masks]
         else:
-            finals = [Ray(tuple(v.values)) for v in state.vertices]
+            finals = [Ray(tuple(v)) for v in state.vertices]
     except LimitError:
         raise
     except ValueError as exc:

@@ -15,7 +15,7 @@ import pytest
 from conedd import dd_engine
 from conedd.cli import main
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
-from conedd.dd_engine import RunConfig, final_recovery_kernel, prefilter_need, run
+from conedd.dd_engine import RunConfig, Stage, final_recovery_kernel, prefilter_need, run
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import (
@@ -149,7 +149,7 @@ def zero_sets_to(trace):
     """A `stage_hook` appending the sorted zero-set masks of each V_i to
     `trace`.  V_0 is left out: it is the d unit rays under every
     representation."""
-    return lambda state: trace.append(sorted(v.mask for v in state.vertices))
+    return lambda state: trace.append(sorted(state.masks))
 
 
 def test_representations_lockstep_on_fixtures():
@@ -232,7 +232,7 @@ def test_recovery_matches_the_reference_on_random_closed_triangulations(monkeypa
     for index in range(90):
         problem = standard_matching_equations(random_closed_triangulation(3 + index % 3, rng))
         last = []
-        run(problem, stage_hook=lambda s: last.__setitem__(slice(None), [v.mask for v in s.vertices]))
+        run(problem, stage_hook=lambda s: last.__setitem__(slice(None), s.masks))
         built.clear()
         kernel = final_recovery_kernel(problem, last)
         if not kernel.zeros or len(built) != 1 or check_against_reference(problem, last, kernel) != len(last):
@@ -266,11 +266,33 @@ def test_zero_sets_stay_pairwise_distinct_on_random_closed_triangulations():
             run(
                 problem,
                 RunConfig(representation=representation, filtering=filtering),
-                stage_hook=lambda state: seen.append([v.mask for v in state.vertices]),
+                stage_hook=lambda state: seen.append(state.masks),
             )
             if any(len(set(masks)) != len(masks) for masks in seen):
                 bad.append(f"triangulation {index}, {representation}, filtering={filtering}")
     report("distinct-zero-sets-random", not bad, "; ".join(bad) or "90 triangulations")
+
+
+def test_census_like_work_counters_are_pinned():
+    """Every `Stage` field summed over 20 seeded random closed triangulations
+    of 8 tetrahedra, the size of the census8 benchmark's instances, under
+    the default configuration: any change to the pair work, the stage
+    bookkeeping or the memory proxy on census-size instances moves a sum."""
+    rng = random.Random(20102)
+    sums = dict.fromkeys(Stage._fields, 0)
+    rays = initial = 0
+    for _ in range(20):
+        found, stats = run(standard_matching_equations(random_closed_triangulation(8, rng)))
+        rays += len(found)
+        initial += stats.initial[1]
+        for stage in stats.stages:
+            for name in Stage._fields:
+                sums[name] += getattr(stage, name)
+    assert (rays, initial) == (55, 439_040)
+    assert sums == dict(
+        hyperplane=22_560, s0=40_999, s_pos=9_587, s_neg=17_355, compatible=94_162,
+        tested=47_068, bulk=41_672, sep=22_359, size=66_876, mem_bytes=15_565_912,
+    )
 
 
 def test_position_ordering_reproduces_input_order():

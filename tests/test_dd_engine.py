@@ -19,7 +19,6 @@ from conedd.dd_engine import (
     GroupTable,
     RunConfig,
     RunStats,
-    Vertex,
     adjacent_algebraic,
     adjacent_combinatorial,
     combine,
@@ -63,29 +62,25 @@ def bits_of(indices):
 def initial_state(problem, representation, **options):
     """V_0 as `run` builds it, before any hyperplane is processed."""
     config = RunConfig(representation=representation, **options)
-    vertices = init_vertices(problem, representation)
+    masks, vertices = init_vertices(problem, representation)
     g = len(problem.equations)
-    return EngineState(problem, config, vertices, [], list(range(g)), 0, RunStats())
-
-
-def vertex(coords):
-    """A `full` vertex with the given coordinates."""
-    return Vertex(zero_mask(coords), list(coords))
+    return EngineState(problem, config, masks, vertices, [], list(range(g)), 0, RunStats())
 
 
 def test_init_vertices_full():
-    vs = init_vertices(GIESEKING, "full")
-    assert [v.values for v in vs] == [[1 if i == j else 0 for i in range(7)] for j in range(7)]
-    assert all(v.mask == zero_mask(v.values) for v in vs)
+    masks, rows = init_vertices(GIESEKING, "full")
+    assert rows == [[1 if i == j else 0 for i in range(7)] for j in range(7)]
+    assert masks == [zero_mask(row) for row in rows]
 
 
 def test_init_vertices_inner():
-    vs = init_vertices(GIESEKING, "inner")
-    for j, v in enumerate(vs):
-        assert v.values == [GIESEKING.equations[k][j] for k in range(5)]
-        assert v.mask == ((1 << 7) - 1) ^ (1 << j)
+    masks, rows = init_vertices(GIESEKING, "inner")
+    assert len(masks) == len(rows) == 7
+    for j, (mask, row) in enumerate(zip(masks, rows)):
+        assert row == [GIESEKING.equations[k][j] for k in range(5)]
+        assert mask == ((1 << 7) - 1) ^ (1 << j)
     # Column 0 of the fixture: only the last equation touches coordinate 0.
-    assert vs[0].values == [0, 0, 0, 0, 1]
+    assert rows[0] == [0, 0, 0, 0, 1]
 
 
 def test_representations_agree_on_hyperplane_values():
@@ -97,7 +92,7 @@ def test_representations_agree_on_hyperplane_values():
     # order of `remaining`, and still agree with the coordinates.
     full, inner = step(full, 2), step(inner, 2)
     assert inner.remaining == full.remaining == [0, 1, 3, 4]
-    assert all(len(v.values) == 4 for v in inner.vertices)
+    assert all(len(v) == 4 for v in inner.vertices)
     for k in inner.remaining:
         assert hyperplane_values(full, k) == hyperplane_values(inner, k)
 
@@ -110,17 +105,17 @@ def test_partition_first_hyperplane():
     assert values.count(0) == 5
     after = step(state, 0)
     # S_0 is kept in order; the one pair (e6, e5) breaks the quad group.
-    assert after.vertices == state.vertices[:5]
+    assert (after.masks, after.vertices) == (state.masks[:5], state.vertices[:5])
     assert after.stats.pair_counts == [1]
 
 
 def test_compatible():
     needs = group_needs(GIESEKING.groups)
-    e0, e4, e5 = (init_vertices(GIESEKING, "full")[j] for j in (0, 4, 5))
+    e0, e4, e5 = (init_vertices(GIESEKING, "full")[0][j] for j in (0, 4, 5))
     # e4 + e5 would have two nonzero quadrilateral coordinates: incompatible.
-    assert not compatible(e4.mask & e5.mask, needs)
-    assert compatible(e0.mask & e4.mask, needs)
-    assert compatible(e0.mask & e0.mask, needs)
+    assert not compatible(e4 & e5, needs)
+    assert compatible(e0 & e4, needs)
+    assert compatible(e0 & e0, needs)
 
 
 def test_prefilter_need_arithmetic():
@@ -147,11 +142,11 @@ def adjacency_over(masks):
     """The combinatorial adjacency test over the zero sets `masks`, for two
     positions."""
     containing = zero_index(masks).containing
-    return lambda u, w: adjacent_combinatorial(u, w, masks, containing) is None
+    return lambda u, w: adjacent_combinatorial(u, w, masks[u] & masks[w], containing) is None
 
 
 def test_adjacent_combinatorial_unit_rays():
-    masks = [v.mask for v in init_vertices(GIESEKING, "full")]
+    masks, _ = init_vertices(GIESEKING, "full")
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
     assert adjacency_over(masks)(5, 6)
@@ -310,7 +305,7 @@ def test_witness_index_matches_the_linear_scan(dim, data):
             continue
         key = masks[u] & masks[w]
         witnesses = [i for i, z in enumerate(masks) if z & key == key and i not in (u, w)]
-        witness = adjacent_combinatorial(u, w, masks, containing)
+        witness = adjacent_combinatorial(u, w, key, containing)
         assert (witness is None) == brute_adjacent(masks[u], masks[w], masks), (u, w)
         assert witness == min(witnesses, default=None), (u, w)
 
@@ -318,16 +313,14 @@ def test_witness_index_matches_the_linear_scan(dim, data):
 def test_adjacency_edge_cases():
     u, w = 0b0110, 0b1100
     # The pair's own positions contain the key but are never witnesses.
-    masks = [u, w, 0b0001]
-    assert adjacent_combinatorial(0, 1, masks, zero_index(masks).containing) is None
+    assert adjacency_over([u, w, 0b0001])(0, 1)
     masks = [0b1111, u, 0b0100, w, 0b0111]
     containing = zero_index(masks).containing
-    assert adjacent_combinatorial(1, 3, masks, containing) == 0  # the lowest of 0, 2 and 4
-    assert adjacent_combinatorial(3, 1, masks, containing) == 0  # either order
-    assert adjacent_combinatorial(0, 4, masks, containing) is None
+    assert adjacent_combinatorial(1, 3, u & w, containing) == 0  # the lowest of 0, 2 and 4
+    assert adjacent_combinatorial(3, 1, u & w, containing) == 0  # either order
+    assert adjacent_combinatorial(0, 4, 0b0111, containing) is None
     # Key 0 and the only witness at position 0: the result is 0, not None.
-    masks = [0, 0b10, 0b01]
-    assert adjacent_combinatorial(1, 2, masks, zero_index(masks).containing) == 0
+    assert adjacent_combinatorial(1, 2, 0, zero_index([0, 0b10, 0b01]).containing) == 0
 
 
 def test_step_reads_a_zero_witness_as_non_adjacent():
@@ -336,9 +329,10 @@ def test_step_reads_a_zero_witness_as_non_adjacent():
     contained in that of (1, 1), which lies on it."""
     problem = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
     config = RunConfig(representation="full", dim_prefilter="off")
-    vertices = [vertex((1, 0)), vertex((0, 1)), vertex((1, 1))]
-    after = step(EngineState(problem, config, vertices, [], [0], 0, RunStats()), 0)
-    assert after.vertices == [vertex((1, 1))]
+    rows = [[1, 0], [0, 1], [1, 1]]
+    state = EngineState(problem, config, [zero_mask(r) for r in rows], rows, [], [0], 0, RunStats())
+    after = step(state, 0)
+    assert (after.masks, after.vertices) == ([0], [[1, 1]])
     assert (after.stats.stages[-1].tested, after.stats.stages[-1].bulk) == (1, 0)
 
 
@@ -402,7 +396,7 @@ def test_partner_index_edge_cases():
 def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
     state = initial_state(GIESEKING, "full")
     values = hyperplane_values(state, 0)
-    masks = [v.mask for v in state.vertices]
+    masks = state.masks
     s_pos = [i for i, t in enumerate(values) if t > 0]
     s_neg = [i for i, t in enumerate(values) if t < 0]
     assert s_pos and s_neg
@@ -413,57 +407,79 @@ def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
 
 
 def test_combine_full():
-    vs = init_vertices(GIESEKING, "full")
+    masks, rows = init_vertices(GIESEKING, "full")
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
-    r = combine(vs[6], vs[5], 1, -1, None)
-    assert r.values == [0, 0, 0, 0, 0, 1, 1]
-    assert r.mask == bits_of(range(5))
+    common = masks[6] & masks[5]
+    assert common == bits_of(range(5))
+    assert combine(rows[6], rows[5], 1, -1, None, common) == [0, 0, 0, 0, 0, 1, 1]
     # The result is divided by the gcd of its values.
-    assert combine(vs[6], vs[5], 2, -2, None).values == [0, 0, 0, 0, 0, 1, 1]
+    assert combine(rows[6], rows[5], 2, -2, None, common) == [0, 0, 0, 0, 0, 1, 1]
 
 
 def test_combine_inner():
-    full = init_vertices(GIESEKING, "full")
-    inner = init_vertices(GIESEKING, "inner")
-    rf = combine(full[6], full[5], 1, -1, None)
-    ri = combine(inner[6], inner[5], 1, -1, 0)
-    assert ri.mask == rf.mask
+    masks, full = init_vertices(GIESEKING, "full")
+    _, inner = init_vertices(GIESEKING, "inner")
+    common = masks[6] & masks[5]
+    rf = combine(full[6], full[5], 1, -1, None, common)
     # The processed hyperplane's product is dropped; the others are the
-    # products of the combined coordinates with rows 1..4.
-    assert ri.values == [dot(GIESEKING.equations[k], rf.values) for k in range(1, 5)]
+    # products of the combined coordinates with rows 1..4.  The mask is not
+    # read under `inner`.
+    for mask in (common, 0):
+        ri = combine(inner[6], inner[5], 1, -1, 0, mask)
+        assert ri == [dot(GIESEKING.equations[k], rf) for k in range(1, 5)]
 
 
 def test_combine_requires_opposite_sides():
-    vs = init_vertices(GIESEKING, "full")
+    masks, rows = init_vertices(GIESEKING, "full")
+    common = masks[5] & masks[6]
     with pytest.raises(InternalError):
-        combine(vs[5], vs[6], -1, 1, None)  # sides swapped
+        combine(rows[5], rows[6], -1, 1, None, common)  # sides swapped
     with pytest.raises(InternalError):
-        combine(vs[6], vs[5], 1, 0, None)  # w on the hyperplane
+        combine(rows[6], rows[5], 1, 0, None, common)  # w on the hyperplane
 
 
 def test_forged_full_vertex_fails_the_zero_set_check():
     """A `full` vertex whose mask claims a zero its coordinates lack is
     caught when the engine combines it."""
     state = initial_state(GIESEKING, "full")
-    e6 = state.vertices[6]
-    forged = Vertex(e6.mask | 1 << 6, e6.values)
+    forged = state.masks[6] | 1 << 6
     with pytest.raises(InternalError, match="zero set"):
-        combine(forged, state.vertices[5], 1, -1, None)
-    state.vertices[6] = forged
+        combine(state.vertices[6], state.vertices[5], 1, -1, None, forged & state.masks[5])
+    state.masks[6] = forged
     with pytest.raises(InternalError, match="zero set"):
         step(state, 0)
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+def test_step_refuses_two_vertices_with_one_zero_set(representation):
+    """Bulk elimination is exact only while the zero sets of V_{i-1} are
+    pairwise distinct, so a stage with both sides checks that they are:
+    a hand-built state holding (1, 0) twice over, as (1, 0) and (2, 0),
+    is refused.  With one side empty no pair is formed, and nothing is
+    checked."""
+    problem = EnumerationProblem(dim=2, equations=((1, -1), (0, 1)), groups=())
+    rows = [(1, 0), (0, 1), (2, 0)]
+    masks = [zero_mask(row) for row in rows]
+    if representation == "inner":
+        rows = [[dot(equation, row) for equation in problem.equations] for row in rows]
+    config = RunConfig(representation=representation)
+    state = EngineState(problem, config, masks, [list(r) for r in rows], [], [0, 1], 0, RunStats())
+    with pytest.raises(InternalError, match="share a zero set"):
+        step(state, 0)
+    after = step(state, 1)  # every row is on or above x1 = 0
+    assert after.masks == [0b10, 0b10]
 
 
 def reference_combine(u, w, a, b, drop):
     """a*w - b*u as a list comprehension, less the entry at `drop`, divided
     by `vector_gcd`: what `combine` computes, without its zero-set check."""
-    values = [a * wv - b * uv for uv, wv in zip(u.values, w.values)]
+    values = [a * wv - b * uv for uv, wv in zip(u, w)]
     if drop is not None:
         del values[drop]
     g = vector_gcd(values)
     if g > 1:
         values = [x // g for x in values]
-    return Vertex(u.mask & w.mask, values)
+    return values
 
 
 # Values of one limb and past it, on both sides of +-2^64.
@@ -490,25 +506,25 @@ def value_pairs(entries):
     ))
 
 
-def check_combine(u, w, a, b, drop):
+def check_combine(u, w, a, b, drop, mask):
     """`combine` against `reference_combine`, leaving u and w as they were,
     with every value at most (a - b) times the largest |x| of u and w."""
-    before = (u.values.copy(), w.values.copy())
-    got = combine(u, w, a, b, drop)
+    before = (u.copy(), w.copy())
+    got = combine(u, w, a, b, drop, mask)
     assert got == reference_combine(u, w, a, b, drop)
-    assert (u.values, w.values) == before
-    top = max(map(abs, u.values + w.values), default=0)
-    assert all(abs(x) <= (a - b) * top for x in got.values)
+    assert (u, w) == before
+    top = max(map(abs, u + w), default=0)
+    assert all(abs(x) <= (a - b) * top for x in got)
 
 
 @settings(max_examples=200)
-@given(value_pairs(wide), masks9, masks9, sides)
-def test_combine_matches_the_reference_under_inner(values, u_mask, w_mask, side):
-    """An `inner` combination, dropping the product at every position."""
+@given(value_pairs(wide), masks9, sides)
+def test_combine_matches_the_reference_under_inner(values, mask, side):
+    """An `inner` combination, dropping the product at every position; the
+    mask, not read under `inner`, is any."""
     u_values, w_values, _ = values
-    u, w = Vertex(u_mask, u_values), Vertex(w_mask, w_values)
     for drop in range(len(u_values)):
-        check_combine(u, w, *side, drop)
+        check_combine(u_values, w_values, *side, drop, mask)
 
 
 @settings(max_examples=200)
@@ -519,11 +535,10 @@ def test_combine_matches_the_reference_under_full(coords, side):
     disagrees with the combined coordinates, and is caught."""
     u_values, w_values, j = coords
     w_values[j] = 0
-    u, w = vertex(u_values), vertex(w_values)
-    check_combine(u, w, *side, None)
-    forged = Vertex(u.mask ^ 1 << j, u.values)
+    common = zero_mask(u_values) & zero_mask(w_values)
+    check_combine(u_values, w_values, *side, None, common)
     with pytest.raises(InternalError, match="zero set"):
-        combine(forged, w, *side, None)
+        combine(u_values, w_values, *side, None, common ^ 1 << j)
 
 
 def test_hyperplane_without_stored_product_is_an_internal_error():
@@ -547,7 +562,7 @@ def test_gieseking_default_run():
     assert stats.sizes == [7, 5, 4, 3, 2, 1]
     assert [s.sep for s in stats.stages] == [1, 2, 3, 3, 4]
     assert stats.pair_counts == [1, 2, 1, 0, 1]
-    assert stats.order == (0, 1, 2, 3, 4)
+    assert [s.hyperplane for s in stats.stages] == [0, 1, 2, 3, 4]
     assert stats.max_vertex_count == 7
     assert stats.final_count == 1
     assert stats.peak_mem_bytes == stats.initial[1] == 336  # V_0: 7 masks, 5 products each
@@ -616,7 +631,7 @@ def run_tracing_zero_sets(problem, config=None):
     `stage_hook`.  V_0 is the d unit rays under every representation."""
     trace = []
     rays, stats = run(
-        problem, config, stage_hook=lambda s: trace.append(sorted(v.mask for v in s.vertices))
+        problem, config, stage_hook=lambda s: trace.append(sorted(s.masks))
     )
     return rays, stats, trace
 
@@ -697,14 +712,14 @@ def test_recover_errors():
 
 
 def test_vertex_bytes():
-    assert vertex_bytes(vertex((1,) * 7), 7) == 8 + 7 * 8  # one mask word + seven 1-limb values
-    assert vertex_bytes(vertex((2**100, 1, 0)), 3) == 8 + (2 + 1 + 1) * 8
-    assert vertex_bytes(Vertex(1, [1, -1]), 7) == 8 + 2 * 8  # inner: two stored products
-    assert vertex_bytes(Vertex(0, []), 7) == 8  # inner after the last stage
+    assert vertex_bytes([1] * 7, 7) == 8 + 7 * 8  # one mask word + seven 1-limb values
+    assert vertex_bytes([2**100, 1, 0], 3) == 8 + (2 + 1 + 1) * 8
+    assert vertex_bytes([1, -1], 7) == 8 + 2 * 8  # inner: two stored products
+    assert vertex_bytes([], 7) == 8  # inner after the last stage
     # Limb boundaries on both sides of the fast path's range.
-    assert vertex_bytes(Vertex(0, [2**64 - 1, -(2**64 - 1)]), 7) == 8 + 2 * 8
-    assert vertex_bytes(Vertex(0, [2**64, 0]), 7) == 8 + 3 * 8
-    assert vertex_bytes(Vertex(0, [-(2**64), 0]), 7) == 8 + 3 * 8
+    assert vertex_bytes([2**64 - 1, -(2**64 - 1)], 7) == 8 + 2 * 8
+    assert vertex_bytes([2**64, 0], 7) == 8 + 3 * 8
+    assert vertex_bytes([-(2**64), 0], 7) == 8 + 3 * 8
 
 
 def test_stage_memory_proxy_counts_every_limb():
@@ -712,15 +727,15 @@ def test_stage_memory_proxy_counts_every_limb():
     is summed vertex by vertex; a stage of one-limb values in bulk.  The
     bound returned is the exact largest |x| after a scan, and a given one
     below 2^64 is trusted."""
-    stage = [Vertex(0b1, [1, -2]), Vertex(0b11, [2**64, 3]), Vertex(0b111, []), Vertex(0, [0])]
+    stage = [[1, -2], [2**64, 3], [], [0]]
     total = sum(vertex_bytes(v, 70) for v in stage)
     # With no bound given the values are read, and the bound is exact.
     assert stage_bytes(stage, 70) == (total, 2**64) == (8 * (4 * 2 + 6), 2**64)
     assert stage_bytes(stage[:1] + stage[2:], 70) == (8 * (3 * 2 + 3), 2)
-    assert stage_bytes([Vertex(0, []), Vertex(1, [0])], 70) == (8 * (2 * 2 + 1), 0)
+    assert stage_bytes([[], [0]], 70) == (8 * (2 * 2 + 1), 0)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        got = stage_bytes([Vertex(0, [1]), Vertex(0, [0, big])], 70)
+        got = stage_bytes([[1], [0, big]], 70)
         assert got == (8 * (2 * 2 + 2 + limbs), abs(big)), big
     # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
     # no proof of one limb, and the values are read.
@@ -729,7 +744,7 @@ def test_stage_memory_proxy_counts_every_limb():
     assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
     # Given the common width of the values, the vertices are not walked for
     # it: the count is the same, and a stated width is taken at its word.
-    uniform = [Vertex(0b1, [1, -2]), Vertex(0b11, [5, 3]), Vertex(0, [0, 0])]
+    uniform = [[1, -2], [5, 3], [0, 0]]
     assert stage_bytes(uniform, 70, 0, 2) == stage_bytes(uniform, 70) == (8 * 3 * (2 + 2), 5)
     assert stage_bytes(uniform, 70, 5, 2) == (8 * 3 * (2 + 2), 5)
     assert stage_bytes(uniform, 70, 5, 9) == (8 * 3 * (2 + 9), 5)
@@ -950,12 +965,12 @@ def check_stage_memory_proxy(problem, config):
     prev = [initial_state(problem, config.representation)]  # V_0, as `run` builds it
 
     def two_limbs(vertices):
-        return any(not -(2**64) < x < 2**64 for v in vertices for x in v.values)
+        return any(not -(2**64) < x < 2**64 for v in vertices for x in v)
 
     def hook(state):
         d = problem.dim
         assert state.stats.stages[-1].mem_bytes == sum(vertex_bytes(v, d) for v in state.vertices)
-        top = max((abs(x) for v in state.vertices for x in v.values), default=0)
+        top = max((abs(x) for v in state.vertices for x in v), default=0)
         assert state.value_bound >= top
         if state.value_bound >= 2**64:
             assert state.value_bound == top
@@ -1003,7 +1018,7 @@ def test_hand_built_state_gets_a_full_memory_scan():
     state = initial_state(problem, "inner")
     assert state.value_bound == 0
     after = step(state, 0)
-    assert [v.values for v in after.vertices] == [[2**70], [0]]
+    assert after.vertices == [[2**70], [0]]
     assert [s.mem_bytes for s in after.stats.stages] == [8 * (2 * 1 + 2 + 1)]
     assert after.value_bound == 2**70
     trusted = initial_state(problem, "inner")
@@ -1024,7 +1039,7 @@ stored = st.one_of(
 @given(st.lists(stored, max_size=6), st.integers(min_value=1, max_value=200))
 def test_vertex_bytes_counts_every_limb(values, dim):
     limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
-    assert vertex_bytes(Vertex(0, values), dim) == 8 * ((dim + 63) // 64 + limbs)
+    assert vertex_bytes(values, dim) == 8 * ((dim + 63) // 64 + limbs)
 
 
 LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri").read_text()))
@@ -1143,8 +1158,8 @@ def test_compatible_counts_equal_a_brute_force_count():
         state = initial_state(problem, "inner", filtering=filtering)
         for k in range(len(problem.equations)):
             values = hyperplane_values(state, k)
-            pos = [v.mask for v, t in zip(state.vertices, values) if t > 0]
-            neg = [v.mask for v, t in zip(state.vertices, values) if t < 0]
+            pos = [mask for mask, t in zip(state.masks, values) if t > 0]
+            neg = [mask for mask, t in zip(state.masks, values) if t < 0]
             want.append(
                 sum(1 for u in pos for w in neg if not filtering or compatible(u & w, needs))
             )
@@ -1162,7 +1177,7 @@ def test_every_working_vertex_is_compatible_on_its_own(name):
     needs = group_needs(problem.groups)
     _, _, trace = run_tracing_zero_sets(problem)
     assert len(trace) == len(problem.equations)
-    for stage in [[v.mask for v in init_vertices(problem, "inner")], *trace]:
+    for stage in [init_vertices(problem, "inner")[0], *trace]:
         assert all(compatible(mask, needs) for mask in stage)
 
 
@@ -1188,7 +1203,7 @@ def test_run_empty_equations():
     rays, stats = run(p)
     assert coords_of(rays) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert stats.sizes == [3]
-    assert stats.order == ()
+    assert [s.hyperplane for s in stats.stages] == []
 
 
 entries = st.integers(min_value=-2, max_value=2)
@@ -1231,36 +1246,39 @@ def test_representations_agree(problem):
 
 
 def reference_step(state, k):
-    """V_i, |S_+| * |S_-|, the compatible pair count and the (zero count,
-    adjacent) verdicts of the pairs that pass the prefilter, of one stage,
-    from a plain double loop over S_+ x S_- with the linear witness scan."""
+    """V_i as (zero sets, value rows), |S_+| * |S_-|, the compatible pair
+    count and the (zero count, adjacent) verdicts of the pairs that pass the
+    prefilter, of one stage, from a plain double loop over S_+ x S_- with
+    the linear witness scan."""
     problem, cfg = state.problem, state.config
     values = hyperplane_values(state, k)
     drop = state.remaining.index(k) if cfg.representation == "inner" else None
     needs = group_needs(problem.groups) if cfg.filtering else []
     need = prefilter_need(cfg.dim_prefilter, len(state.processed), state.sep, problem.dim)
-    masks = [v.mask for v in state.vertices]
-    out, pos, neg = [], [], []
-    for v, t in zip(state.vertices, values):
+    masks = state.masks
+    out_masks, out_rows, pos, neg = [], [], [], []
+    for mask, row, t in zip(masks, state.vertices, values):
         if t == 0:
-            out.append(v if drop is None else Vertex(v.mask, v.values[:drop] + v.values[drop + 1:]))
+            out_masks.append(mask)
+            out_rows.append(row if drop is None else row[:drop] + row[drop + 1:])
         else:
-            (pos if t > 0 else neg).append((v, t))
+            (pos if t > 0 else neg).append((mask, row, t))
     compatible_pairs = 0
     verdicts = []
-    for u, a in pos:
-        for w, b in neg:
-            inter = u.mask & w.mask
+    for u_mask, u, a in pos:
+        for w_mask, w, b in neg:
+            inter = u_mask & w_mask
             if not compatible(inter, needs):
                 continue
             compatible_pairs += 1
             if inter.bit_count() < need:
                 continue
-            adjacent = brute_adjacent(u.mask, w.mask, masks)
+            adjacent = brute_adjacent(u_mask, w_mask, masks)
             verdicts.append((inter.bit_count(), adjacent))
             if adjacent:
-                out.append(combine(u, w, a, b, drop))
-    return out, len(pos) * len(neg), compatible_pairs, verdicts
+                out_masks.append(inter)
+                out_rows.append(combine(u, w, a, b, drop, inter))
+    return (out_masks, out_rows), len(pos) * len(neg), compatible_pairs, verdicts
 
 
 @st.composite
@@ -1291,7 +1309,7 @@ def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, represe
         heard = []
         audited = step(replace(state, stats=RunStats()), k, pair_audit=lambda *a: heard.append(a[2:]))
         state = step(state, k)
-        assert state.vertices == audited.vertices == want
+        assert (state.masks, state.vertices) == (audited.masks, audited.vertices) == want
         last = state.stats.stages[-1]
         assert audited.stats.stages == [last]
         assert [last.pairs, last.compatible] == [pairs, compatible_pairs]
@@ -1312,7 +1330,7 @@ def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
         want, _, compatible_pairs, verdicts = reference_step(state, k)
         heard = []
         state = step(state, k, pair_audit=lambda *a: heard.append(a[2:]))
-        assert state.vertices == want
+        assert (state.masks, state.vertices) == want
         assert heard == verdicts and len(heard) == compatible_pairs
     assert sum(s.bulk for s in state.stats.stages) > 0
 

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conedd.dd_engine import Vertex, vertex_bytes
+from conedd.dd_engine import vertex_bytes
 from conedd.zeroset import group_mask, zero_mask
 
 
@@ -22,10 +22,9 @@ def test_zeroset_of_all_zero():
 
 def test_words_counts_64_bit_blocks():
     """The memory proxy charges a mask by 64-bit words of the dimension."""
-    empty = Vertex(0, [])
-    assert vertex_bytes(empty, 7) == 8
-    assert vertex_bytes(empty, 64) == 8
-    assert vertex_bytes(Vertex(bits_of([0, 64, 65]), []), 130) == 3 * 8
+    assert vertex_bytes([], 7) == 8
+    assert vertex_bytes([], 64) == 8
+    assert vertex_bytes([], 130) == 3 * 8
 
 
 def test_group_mask():
