@@ -45,12 +45,15 @@ the positions whose zero set avoids a key, which drives bulk elimination:
 once a witness p rules out the pair (u, w), every partner w' of u not yet
 walked with Z(u) & Z(w') inside Z(p) has the witness p too, and all of them
 are the partners avoiding Z(u) & ~Z(p), save p itself.  So one query
-removes them before they reach the prefilter or the adjacency test (on
-loop12 63,821 of the 85,622 compatible pairs, leaving 20,892 tested).  The
-answer stays exact because the zero sets of V_{i-1} are pairwise distinct:
-they belong to distinct extreme rays, and `step` checks that they are at
-every stage that forms pairs.  The dimensional prefilter is one threshold
-per stage (`prefilter_need`) that a pair's common zero count must reach.
+removes them before they reach the prefilter or the adjacency test.  The
+adjacency test returns the highest witness, which tends to be the newest
+vertex and to share the most zeros with u, so its query removes the most:
+on loop12 68,462 of the 85,622 compatible pairs, leaving 16,200 tested
+(63,821 and 20,892 with the lowest witness).  The answer stays exact
+because the zero sets of V_{i-1} are pairwise distinct: they belong to
+distinct extreme rays, and `step` checks that they are at every stage that
+forms pairs.  The dimensional prefilter is one threshold per stage
+(`prefilter_need`) that a pair's common zero count must reach.
 The group filter's tables (`GroupTable`) depend only on the problem's
 groups, so they are built once per run and handed from state to state.
 
@@ -445,9 +448,18 @@ def adjacent_combinatorial(
 ) -> Optional[int]:
     """Combinatorial adjacency test for the vertices at positions u and w
     of V_{i-1}, given `common`, their common zero set Z(u) & Z(w): the
-    lowest position of a witness, a third vertex whose zero set contains
+    highest position of a witness, a third vertex whose zero set contains
     `common`, or None when there is none and the pair is adjacent.
     `containing` is the `zero_index` query of the zero sets of V_{i-1}.
+
+    Any witness decides the pair; the highest is returned because `step`
+    removes, with one query, the later partners w' of u with Z(u) & Z(w')
+    inside Z(p), and the larger Z(u) & Z(p) is the more it removes.  V_{i-1}
+    lists the vertices carried from the stage before first and those that
+    stage created last, and the newest witness tends to share more zeros
+    with u: over the non-adjacent pairs a lowest-witness walk tests on
+    loop12, more than the lowest witness in 58% and fewer in 36%, and its
+    query returns 310 positions against 179.
 
     The zero sets of V_{i-1} are pairwise distinct, since they belong to
     distinct extreme rays, so the only copies of Z(u) and Z(w) are at u and
@@ -455,7 +467,7 @@ def adjacent_combinatorial(
     cand = containing(common) ^ (1 << u | 1 << w)  # both contain the key
     if not cand:
         return None
-    return (cand & -cand).bit_length() - 1
+    return cand.bit_length() - 1
 
 
 def restrict(rows: Sequence[Row], mask: int, dim: int) -> tuple[list[Row], list[int]]:
@@ -546,7 +558,12 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     query, in the current 30-bit chunk and in the rest.  That is exact
     because the zero sets of V_{i-1} are pairwise distinct, which is checked
     first (`InternalError` if not), and it keeps the walk ascending, so V_i
-    keeps its order.  The removed partners are counted in `bulk`.
+    keeps its order.  The removed partners are counted in `bulk`.  The walk
+    takes the partners 30 bits at a time and jumps over chunks left empty,
+    by the filters or by bulk elimination, straight to the chunk of the
+    lowest partner left.  On loop12 a walk through every chunk met 48,276
+    empty ones in 55,238 (with the lowest witness); this walk takes 5,265
+    chunks.
     `pair_audit` still hears every pair that passes the prefilter, the
     removed ones as non-adjacent, in the order of a plain double loop.
 
@@ -629,6 +646,11 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             base = -1
             while partners:  # ascending positions, one chunk at a time
                 chunk = partners & _CHUNK
+                if not chunk:  # jump to the chunk of the lowest partner left
+                    skip = ((partners & -partners).bit_length() - 1) // _CHUNK_BITS * _CHUNK_BITS
+                    partners >>= skip
+                    base += skip
+                    chunk = partners & _CHUNK
                 partners >>= _CHUNK_BITS
                 while chunk:
                     low = chunk & -chunk

@@ -297,7 +297,7 @@ def test_zero_index_edge_cases():
 def test_witness_index_matches_the_linear_scan(dim, data):
     """Over pairwise distinct zero sets, as those of V_{i-1} are,
     `adjacent_combinatorial` on a `zero_index` decides adjacency as the
-    linear scan does, and returns the lowest witness position."""
+    linear scan does, and returns the highest witness position."""
     masks = list(dict.fromkeys(data.draw(witness_masks(dim))))
     containing = zero_index(masks).containing
     for u, w in product(range(len(masks)), repeat=2):
@@ -307,7 +307,7 @@ def test_witness_index_matches_the_linear_scan(dim, data):
         witnesses = [i for i, z in enumerate(masks) if z & key == key and i not in (u, w)]
         witness = adjacent_combinatorial(u, w, key, containing)
         assert (witness is None) == brute_adjacent(masks[u], masks[w], masks), (u, w)
-        assert witness == min(witnesses, default=None), (u, w)
+        assert witness == max(witnesses, default=None), (u, w)
 
 
 def test_adjacency_edge_cases():
@@ -316,8 +316,8 @@ def test_adjacency_edge_cases():
     assert adjacency_over([u, w, 0b0001])(0, 1)
     masks = [0b1111, u, 0b0100, w, 0b0111]
     containing = zero_index(masks).containing
-    assert adjacent_combinatorial(1, 3, u & w, containing) == 0  # the lowest of 0, 2 and 4
-    assert adjacent_combinatorial(3, 1, u & w, containing) == 0  # either order
+    assert adjacent_combinatorial(1, 3, u & w, containing) == 4  # the highest of 0, 2 and 4
+    assert adjacent_combinatorial(3, 1, u & w, containing) == 4  # either order
     assert adjacent_combinatorial(0, 4, 0b0111, containing) is None
     # Key 0 and the only witness at position 0: the result is 0, not None.
     assert adjacent_combinatorial(1, 2, 0, zero_index([0, 0b10, 0b01]).containing) == 0
@@ -1060,12 +1060,12 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     assert len(rays) == 77
     # Of the 44,656 pairs of S_+ x S_-, 8,693 are compatible (the rest are
     # never generated).  A witness of an earlier pair of the same u removes
-    # 4,487 of those in bulk, 247 fail the prefilter and 3,959 are tested.
+    # 5,009 of those in bulk, 257 fail the prefilter and 3,427 are tested.
     counts = totals(stats)
     assert counts == dict(
-        pairs=44_656, compatible=8_693, bulk=4_487, tested=3_959, adjacent=2_518
+        pairs=44_656, compatible=8_693, bulk=5_009, tested=3_427, adjacent=2_518
     )
-    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 247
+    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 257
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
     assert stats.stages[-1].sep == 44
     assert stats.peak_mem_bytes == peak
@@ -1088,16 +1088,16 @@ def test_index_agrees_with_the_rank_test_on_loop9():
 
 def test_loop12_pair_split_is_pinned():
     """The loop12 pairs by fate: 777,310 in S_+ x S_-, 85,622 compatible,
-    63,821 of those removed in bulk by the witness of an earlier pair, 909
-    rejected by the prefilter, 20,892 tested for adjacency and 11,103
+    68,462 of those removed in bulk by the witness of an earlier pair, 960
+    rejected by the prefilter, 16,200 tested for adjacency and 11,103
     adjacent."""
     rays, stats = run(LOOP12)
     assert len(rays) == 323
     counts = totals(stats)
     assert counts == dict(
-        pairs=777_310, compatible=85_622, bulk=63_821, tested=20_892, adjacent=11_103
+        pairs=777_310, compatible=85_622, bulk=68_462, tested=16_200, adjacent=11_103
     )
-    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 909
+    assert counts["compatible"] - counts["bulk"] - counts["tested"] == 960
     assert stats.max_vertex_count == 1_585
 
 
@@ -1335,11 +1335,79 @@ def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
     assert sum(s.bulk for s in state.stats.stages) > 0
 
 
+# S_- of `sparse_stage`: on both sides of the 30-bit chunk boundaries at 30,
+# 60 and 90, and with whole chunks empty before 179, 269 and 389.
+SPARSE_NEGATIVES = (29, 30, 59, 60, 89, 90, 179, 180, 269, 299, 389)
+
+
+def sparse_stage(prefilter):
+    """A hand-built `inner` stage of 400 vertices over 32 coordinates with
+    pairwise distinct random zero sets, S_- at `SPARSE_NEGATIVES` and S_+
+    at every ninth position: a third of its pairs are adjacent, and the
+    witnesses of the others remove partners in bulk."""
+    rng = random.Random(7)
+    dim = 32
+    masks = []
+    while len(masks) < 400:
+        mask = sum(1 << j for j in range(dim) if rng.random() < 0.7)
+        if mask not in masks:
+            masks.append(mask)
+    rows = []
+    for i in range(len(masks)):
+        if i in SPARSE_NEGATIVES:
+            t = -rng.randint(1, 3)
+        else:
+            t = rng.randint(1, 3) if i % 9 == 4 else 0
+        rows.append([t, rng.randint(-3, 3)])
+    problem = EnumerationProblem(dim, ((0,) * dim,) * 2, ())
+    config = RunConfig(dim_prefilter=prefilter, filtering=False)
+    # sep 15: the extended prefilter asks for 15 common zeros, about the mean.
+    return EngineState(problem, config, masks, rows, [], [0, 1], 15, RunStats())
+
+
+@pytest.mark.parametrize("prefilter", ["off", "extended"])
+def test_walk_jumps_empty_chunks_exactly(prefilter):
+    """The partner walk jumps over empty 30-bit chunks to the chunk of the
+    lowest partner left; a jump one chunk too far would lose the partners at
+    29 mod 30 (or all but those at 0 mod 30), which V_i and the
+    `pair_audit` stream of a plain double loop would show."""
+    state = sparse_stage(prefilter)
+    want, _, _, verdicts = reference_step(state, 0)
+    heard = []
+    after = step(state, 0, pair_audit=lambda *a: heard.append(a[2:]))
+    assert (after.masks, after.vertices) == want
+    assert heard == verdicts
+    stage = after.stats.stages[-1]
+    assert (stage.s_pos, stage.s_neg) == (44, len(SPARSE_NEGATIVES))
+    assert stage.bulk > 0 and stage.adjacent > 0
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bulk_removal_by_the_returned_witness_is_exact(dim, data):
+    """For every non-adjacent pair (u, w) of pairwise distinct zero sets,
+    every position that the query of `step` with the witness p that
+    `adjacent_combinatorial` returns would remove, `avoiding(Z(u) &
+    ~Z(p))` but p, u and w, is non-adjacent to u under the linear scan."""
+    masks = list(dict.fromkeys(data.draw(witness_masks(dim))))
+    containing, avoiding = zero_index(masks)
+    for u, w in product(range(len(masks)), repeat=2):
+        if u == w:
+            continue
+        p = adjacent_combinatorial(u, w, masks[u] & masks[w], containing)
+        if p is None:
+            continue
+        for i in bits_at(avoiding(masks[u] & ~masks[p]), len(masks)):
+            if i not in (p, u, w):
+                assert not brute_adjacent(masks[u], masks[i], masks), (u, w, p, i)
+
+
 @pytest.mark.slow
 def test_loop15_work_counters_are_pinned():
     """loop15's pairs by fate under the default configuration, so that any
     change to the adjacency work shows: 13,836,788 in S_+ x S_-, 954,507
-    compatible, 836,019 removed in bulk, 114,590 tested and 47,596
+    compatible, 875,994 removed in bulk, 74,467 tested and 47,596
     adjacent."""
     problem = standard_matching_equations(
         parse_triangulation((FIXTURES / "loop15.tri").read_text())
@@ -1347,7 +1415,7 @@ def test_loop15_work_counters_are_pinned():
     rays, stats = run(problem)
     assert len(rays) == 1_365
     assert totals(stats) == dict(
-        pairs=13_836_788, compatible=954_507, bulk=836_019, tested=114_590, adjacent=47_596
+        pairs=13_836_788, compatible=954_507, bulk=875_994, tested=74_467, adjacent=47_596
     )
     assert stats.max_vertex_count == 6_711
 
