@@ -22,10 +22,10 @@ from .cone_problem import (
     write_cone,
     write_rays,
 )
-from .dd_engine import RunConfig, RunStats, run
+from .dd_engine import ADJACENCY_MODES, PREFILTER_MODES, REPRESENTATIONS, RunConfig, RunStats, run
 from .errors import InternalError, LimitError, ParseError
 from .oracle import brute_force_filtered, brute_force_rays, is_extreme
-from .ordering import OrderingStrategy, parse_strategy, strategy_label
+from .ordering import parse_strategy, strategy_label
 from .triangulation import parse_triangulation, standard_matching_equations
 
 EXIT_OK = 0
@@ -49,14 +49,31 @@ BENCH_COLUMNS = (
     "status",
 )
 
-_MATRIX_KEYS = ("order", "adjacency", "rep", "filter", "prefilter")
-_MATRIX_DEFAULTS = {
-    "order": ["position"],
-    "adjacency": ["comb"],
-    "rep": ["inner"],
-    "filter": ["on"],
-    "prefilter": ["extended"],
-}
+
+def _labels(config: RunConfig) -> dict[str, str]:
+    """The five run axes of `config` as the CLI spells them, keyed by their
+    matrix keys and CSV columns; `_labels(RunConfig())` are the defaults."""
+    return {
+        "order": strategy_label(config.ordering),
+        "adjacency": config.adjacency,
+        "rep": config.representation,
+        "filter": "on" if config.filtering else "off",
+        "prefilter": config.dim_prefilter,
+    }
+
+
+def _config(order: str, adjacency: str, rep: str, filtering: str, prefilter: str) -> RunConfig:
+    """The `RunConfig` the five axis values spell, in `_labels`'s terms; a
+    bad value raises `ParseError`."""
+    if filtering not in ("on", "off"):
+        raise ParseError(f"bad filter value {filtering!r}")
+    try:
+        return RunConfig(parse_strategy(order), adjacency, rep, filtering == "on", prefilter)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+_DEFAULTS = _labels(RunConfig())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +113,7 @@ def _bench_row(
     row = {
         "instance": instance,
         "coords": coords,
-        "order": strategy_label(config.ordering),
-        "adjacency": config.adjacency,
-        "rep": config.representation,
-        "filter": "on" if config.filtering else "off",
-        "prefilter": config.dim_prefilter,
+        **_labels(config),
         "time_ms": "",
         "peak_mem_bytes": "",
         "max_vi": "",
@@ -129,13 +142,8 @@ def _write_csv(rows: Sequence[dict], path: str) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     problem = _load_problem(args.input, args.tri, args.dedup)
-    config = RunConfig(
-        ordering=parse_strategy(args.order),
-        adjacency=args.adjacency,
-        representation=args.rep,
-        filtering=not args.no_filter,
-        dim_prefilter=args.prefilter,
-    )
+    filtering = "off" if args.no_filter else "on"
+    config = _config(args.order, args.adjacency, args.rep, filtering, args.prefilter)
     rays, stats = run(problem, config)
     _write_or_print(write_rays([r.coords for r in rays]), args.output)
     if args.stats:
@@ -183,36 +191,20 @@ def _parse_matrix(spec: str) -> list[RunConfig]:
     """Cross product of flag values, e.g. `order=input,position;rep=full,inner`."""
     if not spec.strip():
         return []
-    values = dict(_MATRIX_DEFAULTS)
+    values = {key: [value] for key, value in _DEFAULTS.items()}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
         key, sep, raw = part.partition("=")
         key = key.strip()
-        if not sep or key not in _MATRIX_KEYS:
-            raise ParseError(f"bad matrix entry {part!r}; keys are {', '.join(_MATRIX_KEYS)}")
+        if not sep or key not in _DEFAULTS:
+            raise ParseError(f"bad matrix entry {part!r}; keys are {', '.join(_DEFAULTS)}")
         entries = [v.strip() for v in raw.split(",") if v.strip()]
         if not entries:
             raise ParseError(f"matrix key {key!r} has no values")
         values[key] = entries
-    configs = []
-    for order, adjacency, rep, filtering, prefilter in product(*(values[k] for k in _MATRIX_KEYS)):
-        if filtering not in ("on", "off"):
-            raise ParseError(f"bad filter value {filtering!r}")
-        try:
-            configs.append(
-                RunConfig(
-                    ordering=parse_strategy(order),
-                    adjacency=adjacency,
-                    representation=rep,
-                    filtering=filtering == "on",
-                    dim_prefilter=prefilter,
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return configs
+    return [_config(*combo) for combo in product(*values.values())]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -257,12 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--tri", action="store_true", help="treat the input as a triangulation")
     enum.add_argument("--dedup", action="store_true", help="drop duplicate matching equations")
     enum.add_argument(
-        "--order", default="position", help="input|position|lexpos|lexrand:<seed>|dynamic"
+        "--order", default=_DEFAULTS["order"], help="input|position|lexpos|lexrand:<seed>|dynamic"
     )
-    enum.add_argument("--adjacency", default="comb", choices=["comb", "alg"])
-    enum.add_argument("--rep", default="inner", choices=["full", "inner"])
+    enum.add_argument("--adjacency", default=_DEFAULTS["adjacency"], choices=ADJACENCY_MODES)
+    enum.add_argument("--rep", default=_DEFAULTS["rep"], choices=REPRESENTATIONS)
     enum.add_argument("--no-filter", action="store_true", help="ignore the group constraints")
-    enum.add_argument("--prefilter", default="extended", choices=["off", "basic", "extended"])
+    enum.add_argument("--prefilter", default=_DEFAULTS["prefilter"], choices=PREFILTER_MODES)
     enum.add_argument("--stats", default=None, help="write a one-row stats CSV here")
     enum.add_argument("--output", default=None, help="ray output file (default stdout)")
     enum.set_defaults(func=cmd_enumerate)

@@ -69,11 +69,11 @@ values, d under `full` and one per unprocessed hyperplane under `inner`, so
 value while a carried bound says they all fit in one limb:
 `EngineState.value_bound` bounds |x| over the stored values of V_i.  S_0
 keeps values of V_{i-1} (less one entry under `inner`), and a combination
-a*w - b*u is at most (a - b) times the bound of V_{i-1}, so `step`
-multiplies the bound by the largest a - b it combined.  Only when that
-product reaches 2^64 does a scan of V_i reset it to the exact maximum:
-besides the scan of each V_0, that is 37 of the 7,680 stages of a census8
-pass.
+a*w - b*u is at most (a - b) times the bound of V_{i-1}, where a - b is at
+most the spread max - min of the stage's hyperplane values, so `step`
+multiplies the bound by that spread.  Only when that product reaches 2^64
+does a scan of V_i reset it to the exact maximum: besides the scan of each
+V_0, that is 111 of the 7,680 stages of a census8 pass.
 """
 
 from __future__ import annotations
@@ -269,27 +269,23 @@ def vertex_bytes(values: list[int], dim: int) -> int:
 
 
 def stage_bytes(
-    vertices: Sequence[list[int]], dim: int, bound: int = 0, width: Optional[int] = None
+    vertices: Sequence[list[int]], dim: int, bound: int, width: int
 ) -> tuple[int, int]:
     """The memory proxy of a stage, given its value rows, `vertex_bytes`
     summed in bulk, and an upper bound on |x| over its stored values.
 
-    `bound` is such a bound, or 0 for unknown.  Below 2^64 every value fits
-    in one limb and none is read.  Otherwise one scan, a `min` and a `max`
-    per vertex, gives the exact bound; when it needs two limbs,
-    `vertex_bytes` is summed over every vertex.  `width` is the number of
-    values every vertex stores, if they all store as many, as in a state
-    built by `run`; then the one-limb count is 8*|V|*(mask words + width),
-    and the vertices are not walked for it."""
+    `bound` is such a bound, or 0 for unknown, and `width` is the number of
+    values every vertex stores, as in every state `run` builds.  Below 2^64
+    every value fits in one limb, none is read and the count is
+    8*|V|*(mask words + width).  Otherwise one scan, a `min` and a `max` per
+    vertex, gives the exact bound; when it needs two limbs, `vertex_bytes`
+    is summed over every vertex."""
     if not 0 < bound < _ONE_LIMB:
         lists = list(filter(None, vertices))
         bound = max(max(map(max, lists)), -min(map(min, lists))) if lists else 0
         if bound >= _ONE_LIMB:
             return sum(vertex_bytes(v, dim) for v in vertices), bound
-    words = (dim + 63) // 64
-    if width is None:
-        return 8 * (len(vertices) * words + sum(map(len, vertices))), bound
-    return 8 * len(vertices) * (words + width), bound
+    return 8 * len(vertices) * ((dim + 63) // 64 + width), bound
 
 
 def init_vertices(
@@ -564,12 +560,17 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     lowest partner left.  On loop12 a walk through every chunk met 48,276
     empty ones in 55,238 (with the lowest witness); this walk takes 5,265
     chunks.
-    `pair_audit` still hears every pair that passes the prefilter, the
-    removed ones as non-adjacent, in the order of a plain double loop.
 
     Z(u) & Z(w) is taken once per walked pair: its count is the prefilter's,
     it is the adjacency test's key, and it is the zero set of the
     combination, appended to the new masks beside `combine`'s row.
+
+    `pair_audit` hears every pair that passes the prefilter, those removed
+    in bulk too, in the order of a plain double loop.  The stream is rebuilt
+    after the walk, which does only pair work: a pair is adjacent exactly
+    when its Z(u) & Z(w) is a zero set the stage made, since a second pair
+    with the zero set C of an adjacent one would hold a witness containing C
+    (under `alg` too: the rank test reads C alone).
 
     The group filter relies on every vertex being compatible on its own.
     With filtering on this always holds: the unit rays have one non-zero
@@ -578,9 +579,10 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     The memory proxy of V_i reads no value while the carried bound stays
     below 2^64: S_0 keeps values of V_{i-1}, bounded by `state.value_bound`,
     and a combination of u and w is bounded by (a - b) times it, so the bound
-    of V_i is `state.value_bound` times `grow`, the largest a - b combined
-    (see `stage_bytes`), and every vertex of V_i stores `width` values.  The
-    step's counts go into one `Stage`, appended to `state.stats`.
+    of V_i is `state.value_bound` times `grow`, the spread max - min of the
+    hyperplane's values, at least every a - b (see `stage_bytes`), and every
+    vertex of V_i stores `width` values.  The step's counts go into one
+    `Stage`, appended to `state.stats`.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
@@ -610,39 +612,24 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
             s_neg |= 1 << i
 
     carried = len(new_masks)
-    grow = 1  # the largest a - b combined; 1 while no pair is
+    grow = 1  # bounds the a - b of every combination; 1 while none is formed
     compatible_count = 0
     tested = 0
     bulk = 0
     if s_pos and s_neg:
         if len(set(masks)) != len(masks):
             raise InternalError(f"two vertices share a zero set before hyperplane {k}")
+        grow = max(values) - min(values)
         containing, avoiding = zero_index(masks)
         partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
         rows = None if comb else [sparse_row(problem.equations[j]) for j in state.processed]
         need = prefilter_need(cfg.dim_prefilter, processed_count, sep_before, d)
 
-        def report_bulk(u_mask: int, killed: int, upto: int) -> int:
-            """Tells `pair_audit` of the positions of `killed` below `upto`,
-            partners of u removed in bulk: the ones that pass the prefilter,
-            as non-adjacent.  Returns the other positions."""
-            while killed:
-                low = killed & -killed
-                i = low.bit_length() - 1
-                if i >= upto:
-                    break
-                killed ^= low
-                zero_count = (u_mask & masks[i]).bit_count()
-                if zero_count >= need:
-                    pair_audit(processed_count, sep_before, zero_count, False)
-            return killed
-
         for ui in s_pos:
             u_mask, a = masks[ui], values[ui]
             partners = partners_of(u_mask)
             compatible_count += partners.bit_count()
-            killed = 0  # under `pair_audit`: removed in bulk, not yet reported
             base = -1
             while partners:  # ascending positions, one chunk at a time
                 chunk = partners & _CHUNK
@@ -657,8 +644,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     chunk ^= low
                     i = base + low.bit_length()
                     common = u_mask & masks[i]
-                    zero_count = common.bit_count()
-                    if zero_count < need:
+                    if common.bit_count() < need:
                         continue
                     tested += 1
                     if comb:
@@ -670,26 +656,28 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                             dead = (avoiding(u_mask & ~masks[p]) ^ (1 << p)) >> (base + 1)
                             gone = chunk & dead
                             rest = partners & (dead >> _CHUNK_BITS)
-                            if gone or rest:
-                                chunk ^= gone
-                                partners ^= rest
-                                bulk += gone.bit_count() + rest.bit_count()
-                                if pair_audit is not None:
-                                    killed |= (rest << _CHUNK_BITS | gone) << (base + 1)
+                            chunk ^= gone
+                            partners ^= rest
+                            bulk += gone.bit_count() + rest.bit_count()
                     else:
                         adjacent = adjacent_algebraic(u_mask, masks[i], problem, state.processed, rows)
-                    if pair_audit is not None:
-                        killed = report_bulk(u_mask, killed, i)
-                        pair_audit(processed_count, sep_before, zero_count, adjacent)
                     if adjacent:
-                        b = values[i]
-                        if a - b > grow:
-                            grow = a - b
                         new_masks.append(common)
-                        new_vertices.append(combine(vertices[ui], vertices[i], a, b, drop, common))
+                        new_vertices.append(combine(vertices[ui], vertices[i], a, values[i], drop, common))
                 base += _CHUNK_BITS
-            if killed:
-                report_bulk(u_mask, killed, len(masks))
+
+        if pair_audit is not None:  # the plain double loop's stream, from V_i
+            made = set(new_masks[carried:])
+            for ui in s_pos:
+                u_mask = masks[ui]
+                partners = partners_of(u_mask)
+                while partners:
+                    low = partners & -partners
+                    partners ^= low
+                    common = u_mask & masks[low.bit_length() - 1]
+                    zero_count = common.bit_count()
+                    if zero_count >= need:
+                        pair_audit(processed_count, sep_before, zero_count, common in made)
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     remaining = state.remaining[:position] + state.remaining[position + 1:]
@@ -884,6 +872,7 @@ def run(
     stats = RunStats((len(vertices), mem_bytes))
     remaining = list(range(len(problem.equations)))
     state = EngineState(problem, config, masks, vertices, [], remaining, 0, stats, bound)
+    del masks, vertices  # V_0 is freed with the first stage, not held to the end
 
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a zero nullspace generator), not bad input.

@@ -723,30 +723,28 @@ def test_vertex_bytes():
 
 
 def test_stage_memory_proxy_counts_every_limb():
-    """A stage holding a value of two limbs, an empty vertex and small ones
-    is summed vertex by vertex; a stage of one-limb values in bulk.  The
-    bound returned is the exact largest |x| after a scan, and a given one
-    below 2^64 is trusted."""
-    stage = [[1, -2], [2**64, 3], [], [0]]
+    """A stage holding a value of two limbs is summed vertex by vertex; a
+    stage of one-limb values in bulk, from its width.  The bound returned is
+    the exact largest |x| after a scan, and a given one below 2^64 is
+    trusted."""
+    stage = [[1, -2], [2**64, 3], [0, 0], [0, 7]]
     total = sum(vertex_bytes(v, 70) for v in stage)
     # With no bound given the values are read, and the bound is exact.
-    assert stage_bytes(stage, 70) == (total, 2**64) == (8 * (4 * 2 + 6), 2**64)
-    assert stage_bytes(stage[:1] + stage[2:], 70) == (8 * (3 * 2 + 3), 2)
-    assert stage_bytes([[], [0]], 70) == (8 * (2 * 2 + 1), 0)
+    assert stage_bytes(stage, 70, 0, 2) == (total, 2**64) == (8 * (4 * 2 + 9), 2**64)
+    assert stage_bytes([[], []], 70, 0, 0) == (8 * 2 * 2, 0)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        got = stage_bytes([[1], [0, big]], 70)
-        assert got == (8 * (2 * 2 + 2 + limbs), abs(big)), big
+        got = stage_bytes([[1, 0], [0, big]], 70, 0, 2)
+        assert got == (8 * (2 * 2 + 3 + limbs), abs(big)), big
     # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
     # no proof of one limb, and the values are read.
-    assert stage_bytes(stage, 70, 3) == (8 * (4 * 2 + 5), 3)
-    assert stage_bytes(stage, 70, 2**64 - 1) == (8 * (4 * 2 + 5), 2**64 - 1)
-    assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
-    # Given the common width of the values, the vertices are not walked for
-    # it: the count is the same, and a stated width is taken at its word.
+    assert stage_bytes(stage, 70, 3, 2) == (8 * 4 * (2 + 2), 3)
+    assert stage_bytes(stage, 70, 2**64 - 1, 2) == (8 * 4 * (2 + 2), 2**64 - 1)
+    assert stage_bytes(stage, 70, 2**64, 2) == (total, 2**64)
+    # The one-limb count is 8*|V|*(mask words + width): the vertices are not
+    # walked for it, and the width is taken at its word.
     uniform = [[1, -2], [5, 3], [0, 0]]
-    assert stage_bytes(uniform, 70, 0, 2) == stage_bytes(uniform, 70) == (8 * 3 * (2 + 2), 5)
-    assert stage_bytes(uniform, 70, 5, 2) == (8 * 3 * (2 + 2), 5)
+    assert stage_bytes(uniform, 70, 0, 2) == stage_bytes(uniform, 70, 5, 2) == (8 * 3 * (2 + 2), 5)
     assert stage_bytes(uniform, 70, 5, 9) == (8 * 3 * (2 + 9), 5)
     assert stage_bytes([], 70, 0, 2) == (0, 0)
 
@@ -1013,7 +1011,8 @@ def test_hand_built_state_gets_a_full_memory_scan():
     vertex e_2 keeps its two-limb product with the second row, and the scan
     sets the exact bound.  A small bound is trusted and no value is read,
     which is what the bound is for: claiming 1 for V_0 counts that product
-    as one limb, and the bound of V_1 is 1 times a - b = 2."""
+    as one limb, and the bound of V_1 is 1 times max - min = 2 of the
+    hyperplane's values."""
     problem = EnumerationProblem(3, ((1, -1, 0), (0, 0, 2**70)), ())
     state = initial_state(problem, "inner")
     assert state.value_bound == 0
@@ -1296,13 +1295,18 @@ def grouped_problems(draw):
     return EnumerationProblem(dim=d, equations=equations, groups=tuple(groups))
 
 
-@pytest.mark.parametrize("representation", ["inner", "full"])
+# The `comb` cases keep bare ids (`[True-inner]`); the `alg` ones add `-alg`.
+@pytest.mark.parametrize(
+    "representation,adjacency",
+    [("inner", "comb"), ("full", "comb"), ("inner", "alg"), ("full", "alg")],
+    ids=["inner", "full", "inner-alg", "full-alg"],
+)
 @pytest.mark.parametrize("filtering", [True, False])
 @settings(max_examples=40, deadline=None)
 @given(problem=grouped_problems(), prefilter=st.sampled_from(PREFILTER_MODES))
-def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, representation):
+def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, representation, adjacency):
     state = initial_state(
-        problem, representation, filtering=filtering, dim_prefilter=prefilter
+        problem, representation, filtering=filtering, dim_prefilter=prefilter, adjacency=adjacency
     )
     for k in range(len(problem.equations)):
         want, pairs, compatible_pairs, verdicts = reference_step(state, k)
