@@ -16,7 +16,6 @@ from .ordering import (
     choose_dynamic,
     order_static,
     parse_strategy,
-    position_vector,
     strategy_label,
 )
 from .triangulation import (
@@ -51,7 +50,6 @@ __all__ = [
     "parse_rays",
     "parse_strategy",
     "parse_triangulation",
-    "position_vector",
     "recover",
     "run",
     "standard_matching_equations",

@@ -3,6 +3,13 @@
 A problem is the cone {v >= 0, M v = 0} together with disjoint index groups;
 a vector is admissible when it lies in the cone and has at most one non-zero
 coordinate per group.  Rays are integer vectors taken at gcd 1.
+
+Each equation, a row of M, is held as its non-zeros: a `Row`,
+`{column: value}`, with the columns ascending as the producers build them
+(nothing relies on that order).  A matching equation has at most 4
+non-zeros in 7n columns.  This one form goes from `parse_cone` and the
+triangulation front end through the engine to recovery; only `write_cone`
+writes dense lines.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .exact_linalg import IntVector, dot
+from .exact_linalg import IntVector, Row, dense_row, dot, sparse_row
 
 ConstraintGroup = tuple[int, ...]
 
@@ -19,15 +26,19 @@ ConstraintGroup = tuple[int, ...]
 @dataclass(frozen=True)
 class EnumerationProblem:
     dim: int
-    equations: tuple[IntVector, ...]
+    equations: tuple[Row, ...]
     groups: tuple[ConstraintGroup, ...]
 
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError("dimension must be non-negative")
         for i, row in enumerate(self.equations):
-            if len(row) != self.dim:
-                raise ValueError(f"equation {i} has length {len(row)}, expected {self.dim}")
+            if not isinstance(row, dict):
+                raise ValueError(f"equation {i} is not a {{column: value}} dict")
+            if row and (min(row) < 0 or max(row) >= self.dim):
+                raise ValueError(f"equation {i} has a column outside range({self.dim})")
+            if not all(row.values()):
+                raise ValueError(f"equation {i} holds a zero value")
         seen: set[int] = set()
         for group in self.groups:
             if not group:
@@ -77,10 +88,10 @@ def parse_cone(text: str) -> EnumerationProblem:
         raise ParseError("truncated cone file")
     equations = []
     for i in range(g):
-        row = tuple(_int(t) for t in lines[1 + i].split())
+        row = [_int(t) for t in lines[1 + i].split()]
         if len(row) != d:
             raise ParseError(f"equation {i} has {len(row)} entries, expected {d}")
-        equations.append(row)
+        equations.append(sparse_row(row))
     group_head = lines[1 + g].split()
     if len(group_head) != 2 or group_head[0] != "groups":
         raise ParseError("expected 'groups k' line after the equations")
@@ -97,8 +108,9 @@ def parse_cone(text: str) -> EnumerationProblem:
 
 
 def write_cone(problem: EnumerationProblem) -> str:
+    """The cone text format of the problem, each equation as a dense line."""
     out = [f"{problem.dim} {len(problem.equations)}"]
-    out.extend(" ".join(map(str, row)) for row in problem.equations)
+    out.extend(" ".join(map(str, dense_row(row, problem.dim))) for row in problem.equations)
     out.append(f"groups {len(problem.groups)}")
     out.extend(" ".join(map(str, group)) for group in problem.groups)
     return "\n".join(out) + "\n"

@@ -89,7 +89,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
 from .exact_linalg import (
-    IntVector, Row, dot, nullspace_generator, rank, rref, sparse_row, unit_row, vector_gcd
+    IntVector, Row, dot, nullspace_generator, rank, rref, unit_row, vector_gcd
 )
 from .ordering import OrderingStrategy, choose_dynamic, order_static
 from .zeroset import group_mask, zero_mask
@@ -298,7 +298,11 @@ def init_vertices(
     masks = [full_bits ^ (1 << j) for j in range(d)]
     if representation == "full":
         return masks, [list(unit_row(d, j)) for j in range(d)]
-    return masks, [[row[j] for row in problem.equations] for j in range(d)]
+    vertices = [[0] * len(problem.equations) for _ in range(d)]
+    for k, row in enumerate(problem.equations):
+        for j, x in row.items():
+            vertices[j][k] = x
+    return masks, vertices
 
 
 def _position(state: EngineState, k: int) -> int:
@@ -494,10 +498,10 @@ def adjacent_algebraic(
 
     The unit rows span |Z(u) & Z(w)| dimensions of their own, so the test
     adds that count to the rank of the processed rows `restrict`ed to the
-    other columns.  `rows` are the processed rows as `sparse_row`s (built
-    from the problem when omitted)."""
+    other columns.  `rows` are the processed rows (taken from the problem
+    when omitted)."""
     if rows is None:
-        rows = [sparse_row(problem.equations[k]) for k in processed]
+        rows = [problem.equations[k] for k in processed]
     inter = u_mask & w_mask
     restricted, _ = restrict(rows, inter, problem.dim)
     return inter.bit_count() + rank(restricted) == problem.dim - 2
@@ -623,7 +627,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         containing, avoiding = zero_index(masks)
         partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
-        rows = None if comb else [sparse_row(problem.equations[j]) for j in state.processed]
+        rows = None if comb else [problem.equations[j] for j in state.processed]
         need = prefilter_need(cfg.dim_prefilter, processed_count, sep_before, d)
 
         for ui in s_pos:
@@ -731,7 +735,7 @@ def recovery_kernel(
         label = dict(zip(order, range(len(order))))
     rows = []
     for equation in problem.equations:
-        row = {j: x for j, x in enumerate(equation) if x and not zeros >> j & 1}
+        row = {j: x for j, x in equation.items() if not zeros >> j & 1}
         if row:
             rows.append(row if label is None else {label[j]: x for j, x in row.items()})
     reduced = rref(rows)

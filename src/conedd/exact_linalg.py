@@ -3,10 +3,10 @@
 Everything runs on unbounded Python ints.  Rank, nullspace and the reduced
 row echelon form share one sparse row reduction (`_reduce`), and one row
 update (`_eliminate`).  Rows are `{column: value}` dicts, the only row form
-they accept (`sparse_row` converts a dense row), so an update touches only
-the entries the two rows hold: a matching-equation row has at most 4
-non-zeros, while a dense elimination would update every entry of every
-lower row at every pivot.  Each update is an integer combination of two
+they and `dot` accept (`sparse_row` converts a dense row, and `dense_row`
+converts back), so an update touches only the entries the two rows hold: a
+matching-equation row has at most 4 non-zeros, while a dense elimination
+would update every entry of every lower row at every pivot.  Each update is an integer combination of two
 rows followed by division by the gcd of the entries, so the entries stay
 integral and small.  Nullspaces are then read off by integer
 back-substitution.
@@ -21,10 +21,9 @@ IntVector = tuple[int, ...]
 Row = dict[int, int]  # {column: non-zero value}
 
 
-def dot(m: Sequence[int], v: Sequence[int]) -> int:
-    if len(m) != len(v):
-        raise ValueError(f"length mismatch: {len(m)} vs {len(v)}")
-    return sum(a * b for a, b in zip(m, v))
+def dot(row: Row, v: Sequence[int]) -> int:
+    """The product of a `{column: value}` row and a dense vector."""
+    return sum(x * v[j] for j, x in row.items())
 
 
 def unit_row(dim: int, index: int) -> IntVector:
@@ -54,8 +53,21 @@ def gcd_normalize(v: Sequence[int]) -> IntVector:
 
 
 def sparse_row(row: Sequence[int]) -> Row:
-    """The `{column: value}` form of a dense row, zeros left out."""
+    """The `{column: value}` form of a dense row, zeros left out.
+
+    A dict is refused with `TypeError`: it is a row already, and reading its
+    keys as the entries of a dense row would give a wrong row silently."""
+    if isinstance(row, dict):
+        raise TypeError("sparse_row takes a dense row, not a {column: value} dict")
     return {j: x for j, x in enumerate(row) if x}
+
+
+def dense_row(row: Row, dim: int) -> IntVector:
+    """The dense form, over range(dim), of a `{column: value}` row."""
+    out = [0] * dim
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def _eliminate(row: Row, top: Row, col: int) -> Row:

@@ -15,7 +15,7 @@ from typing import Optional
 from .cone_problem import EnumerationProblem, admissible
 from .dd_engine import Ray
 from .errors import LimitError
-from .exact_linalg import nullspace_generator, rank, sparse_row
+from .exact_linalg import nullspace_generator, rank
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class OracleLimit:
 
 def is_extreme(problem: EnumerationProblem, coords) -> bool:
     """Rank criterion: equations plus the facets through the ray span d-1 dims."""
-    rows = [sparse_row(row) for row in problem.equations]
+    rows = list(problem.equations)
     rows.extend({j: 1} for j, x in enumerate(coords) if x == 0)
     return rank(rows) == problem.dim - 1
 
@@ -44,7 +44,7 @@ def brute_force_rays(
     d = problem.dim
     if d > limit.max_dim:
         raise LimitError(f"dimension {d} exceeds the oracle limit {limit.max_dim}")
-    base = [sparse_row(row) for row in problem.equations]
+    base = list(problem.equations)
     # Smaller zero sets cannot pin down a one-dimensional nullspace.
     min_size = max(0, d - 2 - rank(base))
     candidates: set = set()

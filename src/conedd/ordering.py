@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .cone_problem import EnumerationProblem
 from .errors import ParseError
-from .exact_linalg import IntVector
+from .exact_linalg import dense_row
 
 STATIC_KINDS = ("input", "position", "lexpos", "lexrand")
 KINDS = STATIC_KINDS + ("dynamic",)
@@ -52,36 +52,31 @@ def strategy_label(s: OrderingStrategy) -> str:
     return f"lexrand:{s.seed}" if s.kind == "lexrand" else s.kind
 
 
-def position_vector(m: Sequence[int]) -> IntVector:
-    """0/1 support indicator of a row."""
-    return tuple(1 if x != 0 else 0 for x in m)
-
-
-def _sign_first_positive(row: Sequence[int]) -> IntVector:
-    for x in row:
-        if x != 0:
-            return tuple(row) if x > 0 else tuple(-y for y in row)
-    return tuple(row)
-
-
 def order_static(problem: EnumerationProblem, strategy: OrderingStrategy) -> tuple[int, ...]:
-    """Permutation of 0..g-1 for a static strategy; sorts are stable."""
+    """Permutation of 0..g-1 for a static strategy; sorts are stable.
+
+    `position` sorts the rows by their 0/1 support vectors, lexicographically;
+    the key is that vector read as a binary number, bit d-1-j for column j,
+    which orders rows, ties included, exactly as the vectors do.  `lexpos`
+    sorts the dense rows, each negated if its first non-zero is negative, and
+    `lexrand` the dense rows, each times a random sign."""
     if strategy.kind == "dynamic":
         raise ValueError("dynamic ordering has no static permutation; use choose_dynamic")
-    g = len(problem.equations)
-    indices = list(range(g))
+    d = problem.dim
+    rows = problem.equations
+    g = len(rows)
     if strategy.kind == "input":
-        return tuple(indices)
+        return tuple(range(g))
     if strategy.kind == "position":
-        return tuple(sorted(indices, key=lambda k: position_vector(problem.equations[k])))
-    if strategy.kind == "lexpos":
-        return tuple(sorted(indices, key=lambda k: _sign_first_positive(problem.equations[k])))
-    # lexrand: one random sign per row, then lexicographic sort
-    rng = random.Random(strategy.seed)
-    signs = [rng.choice((1, -1)) for _ in range(g)]
-    return tuple(
-        sorted(indices, key=lambda k: tuple(signs[k] * x for x in problem.equations[k]))
-    )
+        keys = [sum(1 << (d - 1 - j) for j in row) for row in rows]
+    else:
+        if strategy.kind == "lexpos":
+            signs = [1 if not row or row[min(row)] > 0 else -1 for row in rows]
+        else:  # lexrand: one random sign per row
+            rng = random.Random(strategy.seed)
+            signs = [rng.choice((1, -1)) for _ in range(g)]
+        keys = [dense_row({j: s * x for j, x in row.items()}, d) for s, row in zip(signs, rows)]
+    return tuple(sorted(range(g), key=keys.__getitem__))
 
 
 def choose_dynamic(unprocessed: Iterable[int], values_of: Callable[[int], Iterable[int]]) -> int:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .cone_problem import EnumerationProblem
 from .errors import ParseError
+from .exact_linalg import Row
 
 Perm = tuple[int, int, int, int]
 Gluing = Optional[tuple[int, Perm]]
@@ -175,11 +176,13 @@ def compute_skeleton(t: Triangulation) -> Skeleton:
     return Skeleton(faces.classes(), edges.classes(), vertices.classes())
 
 
-def _quad_offset(a: int, b: int) -> int:
-    """Coordinate offset (4..6) of the quad type separating {a, b} from the rest."""
-    pair = {a, b} if 0 in (a, b) else {0, 1, 2, 3} - {a, b}
-    other = (pair - {0}).pop()
-    return 3 + other
+# _QUAD_OFFSET[a][b]: coordinate offset (4..6) of the quad type separating
+# {a, b} from the other two vertices; the diagonal is never read.
+_QUAD_OFFSET = ((0, 4, 5, 6), (4, 0, 6, 5), (5, 6, 0, 4), (6, 5, 4, 0))
+
+# _CORNERS[j]: the vertex c of face j opposite each edge of the face, for
+# its edges in sorted pair order.
+_CORNERS = tuple(tuple(v for v in (3, 2, 1, 0) if v != j) for j in range(4))
 
 
 def standard_matching_equations(t: Triangulation, dedup: bool = False) -> EnumerationProblem:
@@ -190,36 +193,37 @@ def standard_matching_equations(t: Triangulation, dedup: bool = False) -> Enumer
     separating that vertex from the edge; coefficients +1 on the side of the
     lower (tetrahedron, face) pair and -1 on the other, merged additively when
     both sides land in the same tetrahedron.  Rows are ordered by canonical
-    face then by sorted edge pair.  Groups are the n quad triples.
+    face then by sorted edge pair, and each is a `Row` of its non-zeros with
+    ascending columns.  Groups are the n quad triples.
     """
     d = 7 * t.n
-    rows: list[tuple[int, ...]] = []
+    rows: list[Row] = []
     for i in range(t.n):
         for j in range(4):
             gluing = t.gluings[i][j]
             if gluing is None:
                 continue
             target, perm = gluing
-            if (i, j) > (target, perm[j]):
+            pj = perm[j]
+            if (i, j) > (target, pj):
                 continue
-            face_vertices = [v for v in range(4) if v != j]
-            for a1, a2 in combinations(face_vertices, 2):
-                c = next(v for v in face_vertices if v not in (a1, a2))
-                row = [0] * d
-                row[7 * i + c] += 1
-                row[7 * i + _quad_offset(c, j)] += 1
-                pc, pj = perm[c], perm[j]
-                row[7 * target + pc] -= 1
-                row[7 * target + _quad_offset(pc, pj)] -= 1
-                rows.append(tuple(row))
-    if dedup:
-        seen = set()
-        unique = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        rows = unique
+            for c in _CORNERS[j]:
+                pc = perm[c]
+                here = (7 * i + c, 7 * i + _QUAD_OFFSET[c][j])
+                there = (7 * target + pc, 7 * target + _QUAD_OFFSET[pc][pj])
+                if target != i:  # then i < target, so the columns ascend
+                    rows.append({here[0]: 1, here[1]: 1, there[0]: -1, there[1]: -1})
+                    continue
+                # A face glued to its own tetrahedron: merge the two sides.
+                row = dict.fromkeys(here, 1)
+                for col in there:
+                    if col in row:
+                        del row[col]  # +1 and -1 cancel
+                    else:
+                        row[col] = -1
+                rows.append(dict(sorted(row.items())))
+    if dedup:  # equal rows hold the same items in the same order
+        rows = list({tuple(row.items()): row for row in rows}.values())
     groups = tuple((7 * i + 4, 7 * i + 5, 7 * i + 6) for i in range(t.n))
     return EnumerationProblem(d, tuple(rows), groups)
 

@@ -9,7 +9,7 @@ recovery beyond the row reduction itself.
 
 from conedd.dd_engine import Ray, recover, restrict
 from conedd.errors import InternalError
-from conedd.exact_linalg import nullspace_generator, sparse_row
+from conedd.exact_linalg import nullspace_generator
 
 
 def reference_recover(problem, mask):
@@ -20,8 +20,7 @@ def reference_recover(problem, mask):
     d = problem.dim
     if mask >> d:
         raise InternalError("zero set has bits outside the problem dimension")
-    rows = [sparse_row(row) for row in problem.equations]
-    restricted, free_cols = restrict(rows, mask, d)
+    restricted, free_cols = restrict(problem.equations, mask, d)
     gen = nullspace_generator(restricted, len(free_cols))
     if gen is None:
         raise InternalError("recovery system does not have a one-dimensional solution space")

@@ -36,7 +36,7 @@ from conedd.dd_engine import (
     zero_index,
 )
 from conedd.errors import InternalError
-from conedd.exact_linalg import dot, vector_gcd
+from conedd.exact_linalg import dot, sparse_row, vector_gcd
 from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations, twisted_layered_loop
@@ -77,7 +77,7 @@ def test_init_vertices_inner():
     masks, rows = init_vertices(GIESEKING, "inner")
     assert len(masks) == len(rows) == 7
     for j, (mask, row) in enumerate(zip(masks, rows)):
-        assert row == [GIESEKING.equations[k][j] for k in range(5)]
+        assert row == [GIESEKING.equations[k].get(j, 0) for k in range(5)]
         assert mask == ((1 << 7) - 1) ^ (1 << j)
     # Column 0 of the fixture: only the last equation touches coordinate 0.
     assert rows[0] == [0, 0, 0, 0, 1]
@@ -327,7 +327,7 @@ def test_step_reads_a_zero_witness_as_non_adjacent():
     """A witness whose zero set is empty still kills the pair: e0 and e1
     lie on either side of x0 = x1, and their common zero set (empty) is
     contained in that of (1, 1), which lies on it."""
-    problem = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
+    problem = EnumerationProblem(dim=2, equations=(sparse_row((1, -1)),), groups=())
     config = RunConfig(representation="full", dim_prefilter="off")
     rows = [[1, 0], [0, 1], [1, 1]]
     state = EngineState(problem, config, [zero_mask(r) for r in rows], rows, [], [0], 0, RunStats())
@@ -457,7 +457,8 @@ def test_step_refuses_two_vertices_with_one_zero_set(representation):
     a hand-built state holding (1, 0) twice over, as (1, 0) and (2, 0),
     is refused.  With one side empty no pair is formed, and nothing is
     checked."""
-    problem = EnumerationProblem(dim=2, equations=((1, -1), (0, 1)), groups=())
+    equations = (sparse_row((1, -1)), sparse_row((0, 1)))
+    problem = EnumerationProblem(dim=2, equations=equations, groups=())
     rows = [(1, 0), (0, 1), (2, 0)]
     masks = [zero_mask(row) for row in rows]
     if representation == "inner":
@@ -703,10 +704,10 @@ def test_recover_errors():
         recover(GIESEKING, bits_of([4, 5, 6, 7]))  # wrong dimension
     with pytest.raises(InternalError, match="outside the problem dimension"):
         recover(GIESEKING, -1)
-    p = EnumerationProblem(dim=2, equations=((1, 1),), groups=())
+    p = EnumerationProblem(dim=2, equations=(sparse_row((1, 1)),), groups=())
     with pytest.raises(InternalError):
         recover(p, 0)  # generator (1, -1) is mixed-sign
-    p = EnumerationProblem(dim=3, equations=((1, -1, 0),), groups=())
+    p = EnumerationProblem(dim=3, equations=(sparse_row((1, -1, 0)),), groups=())
     with pytest.raises(InternalError):
         recover(p, 0)  # nullity 2 again, on other columns
 
@@ -869,24 +870,25 @@ def test_kernel_recovery_edge_cases():
     mixed signs, a pivot coordinate left zero, a column in the kernel's
     zero set, and a column order: a permutation of the columns outside the
     kernel's zero set, or `ValueError`."""
-    line = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
+    line = EnumerationProblem(dim=2, equations=(sparse_row((1, -1)),), groups=())
     assert recovery_kernel(line) == (0, 0b1, {0: 1}, {1: [(0, -1)]})  # one unknown, y_1
-    half = EnumerationProblem(dim=2, equations=((2, -1),), groups=())
+    half = EnumerationProblem(dim=2, equations=(sparse_row((2, -1)),), groups=())
     assert recovery_kernel(half) == (0, 0b1, {0: 2}, {1: [(0, -1)]})  # x_0 = y_1 / 2
     for problem, mask, coords in ((line, 0, (1, 1)), (half, 0, (1, 2))):
         assert recover(problem, mask) == Ray(coords)
         assert check_against_reference(problem, [mask]) == 1
     refused = [
         (line, 0b10),  # no unknown left: only x = 0 solves it
-        (EnumerationProblem(dim=3, equations=((1, -1, 0),), groups=()), 0),  # nullity 2
-        (EnumerationProblem(dim=2, equations=((1, 1),), groups=()), 0),  # generator (1, -1)
-        (EnumerationProblem(dim=2, equations=((1, 0),), groups=()), 0),  # x_0 = 0 off the mask
+        (EnumerationProblem(3, (sparse_row((1, -1, 0)),), ()), 0),  # nullity 2
+        (EnumerationProblem(2, (sparse_row((1, 1)),), ()), 0),  # generator (1, -1)
+        (EnumerationProblem(2, (sparse_row((1, 0)),), ()), 0),  # x_0 = 0 off the mask
     ]
     for problem, mask in refused:
         assert check_against_reference(problem, [mask]) == 0
     # x_2 = 0 on every ray: the kernel leaves column 2 out, and refuses a
     # mask that misses it.
-    problem = EnumerationProblem(dim=3, equations=((1, -1, 0), (0, 0, 1)), groups=())
+    equations = (sparse_row((1, -1, 0)), sparse_row((0, 0, 1)))
+    problem = EnumerationProblem(dim=3, equations=equations, groups=())
     kernel = recovery_kernel(problem, 0b100)
     assert kernel == (0b100, 0b1, {0: 1}, {1: [(0, -1)]})
     assert check_against_reference(problem, [0b100], kernel) == 1
@@ -949,7 +951,7 @@ def two_limb_cone(seed):
         rows.append(tuple(row))
     rows.append((1,) * 6 + (0, 0, 0))
     rows.append((0,) * 6 + (1, 1, -1))
-    return EnumerationProblem(9, tuple(rows), ())
+    return EnumerationProblem(9, tuple(map(sparse_row, rows)), ())
 
 
 def check_stage_memory_proxy(problem, config):
@@ -1013,7 +1015,7 @@ def test_hand_built_state_gets_a_full_memory_scan():
     which is what the bound is for: claiming 1 for V_0 counts that product
     as one limb, and the bound of V_1 is 1 times max - min = 2 of the
     hyperplane's values."""
-    problem = EnumerationProblem(3, ((1, -1, 0), (0, 0, 2**70)), ())
+    problem = EnumerationProblem(3, (sparse_row((1, -1, 0)), sparse_row((0, 0, 2**70))), ())
     state = initial_state(problem, "inner")
     assert state.value_bound == 0
     after = step(state, 0)
@@ -1213,7 +1215,7 @@ def small_problems(draw, with_groups=False):
     d = draw(st.integers(min_value=3, max_value=7))
     nrows = draw(st.integers(min_value=1, max_value=3))
     equations = tuple(
-        tuple(draw(entries) for _ in range(d)) for _ in range(nrows)
+        sparse_row(tuple(draw(entries) for _ in range(d))) for _ in range(nrows)
     )
     groups = ()
     if with_groups and d >= 3:
@@ -1285,7 +1287,7 @@ def grouped_problems(draw):
     """Random problems with d <= 12 and disjoint groups of 1-4 coordinates."""
     d = draw(st.integers(min_value=3, max_value=12))
     nrows = draw(st.integers(min_value=1, max_value=4))
-    equations = tuple(tuple(draw(entries) for _ in range(d)) for _ in range(nrows))
+    equations = tuple(sparse_row(tuple(draw(entries) for _ in range(d))) for _ in range(nrows))
     coords = draw(st.permutations(range(d)))
     groups, at = [], 0
     while at < d and draw(st.integers(0, 4)) > 0:
@@ -1363,7 +1365,7 @@ def sparse_stage(prefilter):
         else:
             t = rng.randint(1, 3) if i % 9 == 4 else 0
         rows.append([t, rng.randint(-3, 3)])
-    problem = EnumerationProblem(dim, ((0,) * dim,) * 2, ())
+    problem = EnumerationProblem(dim, (sparse_row((0,) * dim),) * 2, ())
     config = RunConfig(dim_prefilter=prefilter, filtering=False)
     # sep 15: the extended prefilter asks for 15 common zeros, about the mean.
     return EngineState(problem, config, masks, rows, [], [0, 1], 15, RunStats())

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedd.exact_linalg import (
+    dense_row,
     dot,
     gcd_normalize,
     nullspace_generator,
@@ -34,10 +35,9 @@ def sparse(rows):
 
 
 def test_dot():
-    assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert dot((), ()) == 0
-    with pytest.raises(ValueError):
-        dot((1, 2), (1,))
+    assert dot({0: 1, 1: 2, 2: 3}, (4, 5, 6)) == 32
+    assert dot({1: 2, 3: -1}, (7, 5, 9, 4)) == 6
+    assert dot({}, ()) == 0
 
 
 def test_unit_row():
@@ -103,6 +103,23 @@ def test_nullity_one_then_zero_from_the_last_row():
 def test_sparse_row():
     assert sparse_row((0, 2, 0, -1)) == {1: 2, 3: -1}
     assert sparse_row((0, 0)) == {}
+    assert sparse_row([3, 0]) == {0: 3}
+
+
+def test_dense_row():
+    assert dense_row({1: 2, 3: -1}, 5) == (0, 2, 0, -1, 0)
+    assert dense_row({}, 2) == (0, 0)
+    for row in GIESEKING_ROWS:
+        assert dense_row(sparse_row(row), len(row)) == tuple(row)
+
+
+def test_sparse_row_refuses_a_row_that_is_sparse_already():
+    """Read as a dense row, {1: 2, 3: -1} would give {0: 1, 1: 3}: its keys
+    taken for entries.  A dict is refused instead."""
+    with pytest.raises(TypeError):
+        sparse_row({1: 2, 3: -1})
+    with pytest.raises(TypeError):
+        sparse_row({})
 
 
 def test_dense_rows_fail_loudly():
@@ -112,6 +129,8 @@ def test_dense_rows_fail_loudly():
         rank([(1, 0), (0, 1)])
     with pytest.raises(AttributeError):
         nullspace_generator([[1, -1, 0]], 3)
+    with pytest.raises(AttributeError):
+        dot((1, 2), (1, 2))
 
 
 def test_nullspace_generator_scaling():
@@ -233,7 +252,7 @@ def test_nullspace_generator_is_orthogonal(rows):
         assert any(gen)
         assert gen == gcd_normalize(gen)
         for r in rows:
-            assert dot(tuple(r), gen) == 0
+            assert dot(sparse_row(r), gen) == 0
         assert rank(sparse(rows)) == ncols - 1
 
 
@@ -313,7 +332,7 @@ def test_last_row_breaks_nullity_one(case):
     reduced, only substituted into the generator."""
     v, raw, last = case
     vv = sum(x * x for x in v)
-    rows = [tuple(vv * a - dot(r, v) * b for a, b in zip(r, v)) for r in raw]
-    if _check_against_reference(rows, len(v)) == 1 and dot(last, v) != 0:
+    rows = [tuple(vv * a - dot(sparse_row(r), v) * b for a, b in zip(r, v)) for r in raw]
+    if _check_against_reference(rows, len(v)) == 1 and dot(sparse_row(last), v) != 0:
         for at in range(len(rows) + 1):
             assert nullspace_generator(sparse(rows[:at] + [last] + rows[at:]), len(v)) is None

@@ -6,6 +6,7 @@ import pytest
 
 from conedd.cone_problem import EnumerationProblem, parse_cone
 from conedd.errors import LimitError
+from conedd.exact_linalg import sparse_row
 from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays, is_extreme
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -20,7 +21,7 @@ def test_orthant_rays_are_unit_vectors():
 
 
 def test_single_equation_diagonal():
-    p = EnumerationProblem(dim=2, equations=((1, -1),), groups=())
+    p = EnumerationProblem(dim=2, equations=(sparse_row((1, -1)),), groups=())
     rays = brute_force_rays(p)
     assert [r.coords for r in rays] == [(1, 1)]
 
@@ -38,7 +39,8 @@ def test_gieseking_filtered():
 def test_filtered_can_be_empty():
     # The only extreme ray is (1, 1, 1), which has three nonzero coordinates
     # in the single group, so filtering removes everything.
-    p = EnumerationProblem(dim=3, equations=((1, -1, 0), (0, 1, -1)), groups=((0, 1, 2),))
+    equations = (sparse_row((1, -1, 0)), sparse_row((0, 1, -1)))
+    p = EnumerationProblem(dim=3, equations=equations, groups=((0, 1, 2),))
     assert [r.coords for r in brute_force_rays(p)] == [(1, 1, 1)]
     assert brute_force_filtered(p) == []
 

@@ -1,5 +1,7 @@
 """Tests for hyperplane ordering strategies."""
 
+import random
+
 import pytest
 
 from conedd.cone_problem import parse_cone
@@ -8,9 +10,10 @@ from conedd.ordering import (
     choose_dynamic,
     order_static,
     parse_strategy,
-    position_vector,
     strategy_label,
 )
+from conedd.triangulation import standard_matching_equations, twisted_layered_loop
+from test_acceptance import RANDOM_SUITE, random_closed_triangulation
 
 GIESEKING = parse_cone(
     "7 5\n"
@@ -41,10 +44,6 @@ def test_parse_strategy_rejects(text):
 def test_strategy_label_roundtrip():
     for text in ("input", "position", "lexpos", "lexrand:42", "dynamic"):
         assert strategy_label(parse_strategy(text)) == text
-
-
-def test_position_vector():
-    assert position_vector((0, 3, 0, -2, 1)) == (0, 1, 0, 1, 1)
 
 
 def test_input_order_is_identity():
@@ -85,8 +84,9 @@ def test_order_static_rejects_dynamic():
 
 
 def test_choose_dynamic_first_pick():
-    # Against the unit rays, the values of row k are the row's entries.
-    k = choose_dynamic(set(range(5)), lambda k: GIESEKING.equations[k])
+    # Against the unit rays, the values of row k are the row's entries; its
+    # zeros count on neither side.
+    k = choose_dynamic(set(range(5)), lambda k: GIESEKING.equations[k].values())
     # Row 0 splits the unit rays 1 positive / 1 negative (product 1); the
     # other rows each split 2 x 2 or worse, so row 0 wins.
     assert k == 0
@@ -104,3 +104,43 @@ def test_choose_dynamic_prefers_no_negatives():
     assert choose_dynamic([0, 1], rows.__getitem__) == 1
     with pytest.raises(ValueError):
         choose_dynamic([], rows.__getitem__)
+
+
+def dense_order(problem, strategy):
+    """Reference static order, sorting the dense rows: by their 0/1 support
+    vectors (`position`), sign-normalised so the first non-zero is positive
+    (`lexpos`), or each times a seeded random sign (`lexrand`)."""
+    rows = []
+    for row in problem.equations:
+        dense = [0] * problem.dim
+        for j, x in row.items():
+            dense[j] = x
+        rows.append(tuple(dense))
+    if strategy.kind == "position":
+        keys = [tuple(1 if x else 0 for x in row) for row in rows]
+    elif strategy.kind == "lexpos":
+        keys = [row if next((x for x in row if x), 0) >= 0 else tuple(-x for x in row) for row in rows]
+    else:
+        rng = random.Random(strategy.seed)
+        signs = [rng.choice((1, -1)) for _ in rows]
+        keys = [tuple(sign * x for x in row) for sign, row in zip(signs, rows)]
+    return tuple(sorted(range(len(rows)), key=keys.__getitem__))
+
+
+def test_static_orders_match_the_dense_reference():
+    """`order_static` on `{column: value}` rows gives the permutation a sort
+    of the dense rows gives, ties included: on Gieseking, the loops at
+    n = 3..12, 10 random closed triangulations of 1-5 tetrahedra and the
+    50 random cones of the acceptance suite (rows in -2..2)."""
+    rng = random.Random(11)
+    problems = [
+        GIESEKING,
+        *(standard_matching_equations(twisted_layered_loop(n)) for n in range(3, 13)),
+        *(standard_matching_equations(random_closed_triangulation(1 + i % 5, rng)) for i in range(10)),
+        *RANDOM_SUITE,
+    ]
+    strategies = ["position", "lexpos", "lexrand:1", "lexrand:2", "lexrand:3"]
+    for problem in problems:
+        for text in strategies:
+            strategy = parse_strategy(text)
+            assert order_static(problem, strategy) == dense_order(problem, strategy)
