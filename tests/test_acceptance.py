@@ -292,7 +292,8 @@ def test_census_like_work_counters_are_pinned():
     assert (rays, initial) == (55, 439_040)
     assert sums == dict(
         hyperplane=22_560, s0=40_999, s_pos=9_587, s_neg=17_355, compatible=94_162,
-        tested=40_528, bulk=49_235, sep=22_359, size=66_876, mem_bytes=15_565_912,
+        tested=40_528, bulk=49_235, certified=18_224, sep=22_359, size=66_876,
+        mem_bytes=15_565_912,
     )
 
 

@@ -324,16 +324,19 @@ def test_adjacency_edge_cases():
 
 
 def test_step_reads_a_zero_witness_as_non_adjacent():
-    """A witness whose zero set is empty still kills the pair: e0 and e1
-    lie on either side of x0 = x1, and their common zero set (empty) is
-    contained in that of (1, 1), which lies on it."""
-    problem = EnumerationProblem(dim=2, equations=(sparse_row((1, -1)),), groups=())
+    """A witness whose zero set is empty still kills the pair: (1, 1, 0, 0)
+    and (0, 0, 1, 1) lie on either side of x0 = x2, and their common zero
+    set (empty) is contained in that of (1, 1, 1, 1), which lies on it.
+    Each of the two has two zeros the other lacks, so the zero-count
+    certificate cannot decide the pair and the index query does."""
+    problem = EnumerationProblem(dim=4, equations=(sparse_row((1, 0, -1, 0)),), groups=())
     config = RunConfig(representation="full", dim_prefilter="off")
-    rows = [[1, 0], [0, 1], [1, 1]]
+    rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
     state = EngineState(problem, config, [zero_mask(r) for r in rows], rows, [], [0], 0, RunStats())
     after = step(state, 0)
-    assert (after.masks, after.vertices) == ([0], [[1, 1]])
-    assert (after.stats.stages[-1].tested, after.stats.stages[-1].bulk) == (1, 0)
+    assert (after.masks, after.vertices) == ([0], [[1, 1, 1, 1]])
+    stage = after.stats.stages[-1]
+    assert (stage.tested, stage.bulk, stage.certified) == (1, 0, 0)
 
 
 @st.composite
@@ -1049,7 +1052,7 @@ LOOP12 = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri
 
 def totals(stats):
     """The pair counters of a run's `Stage` records, summed over the stages."""
-    names = ("pairs", "compatible", "bulk", "tested", "adjacent")
+    names = ("pairs", "compatible", "bulk", "tested", "certified", "adjacent")
     return {name: sum(getattr(s, name) for s in stats.stages) for name in names}
 
 
@@ -1062,9 +1065,12 @@ def test_loop9_work_counters_are_pinned(representation, peak):
     # Of the 44,656 pairs of S_+ x S_-, 8,693 are compatible (the rest are
     # never generated).  A witness of an earlier pair of the same u removes
     # 5,009 of those in bulk, 257 fail the prefilter and 3,427 are tested.
+    # The zero-count certificate decides 2,187 of the tested pairs, so 1,240
+    # are witness queries.
     counts = totals(stats)
     assert counts == dict(
-        pairs=44_656, compatible=8_693, bulk=5_009, tested=3_427, adjacent=2_518
+        pairs=44_656, compatible=8_693, bulk=5_009, tested=3_427, certified=2_187,
+        adjacent=2_518,
     )
     assert counts["compatible"] - counts["bulk"] - counts["tested"] == 257
     assert (stats.max_vertex_count, sum(stats.sizes)) == (375, 6_925)
@@ -1091,12 +1097,14 @@ def test_loop12_pair_split_is_pinned():
     """The loop12 pairs by fate: 777,310 in S_+ x S_-, 85,622 compatible,
     68,462 of those removed in bulk by the witness of an earlier pair, 960
     rejected by the prefilter, 16,200 tested for adjacency and 11,103
-    adjacent."""
+    adjacent.  The zero-count certificate decides 9,701 of the tested
+    pairs, so 6,499 are witness queries."""
     rays, stats = run(LOOP12)
     assert len(rays) == 323
     counts = totals(stats)
     assert counts == dict(
-        pairs=777_310, compatible=85_622, bulk=68_462, tested=16_200, adjacent=11_103
+        pairs=777_310, compatible=85_622, bulk=68_462, tested=16_200, certified=9_701,
+        adjacent=11_103,
     )
     assert counts["compatible"] - counts["bulk"] - counts["tested"] == 960
     assert stats.max_vertex_count == 1_585
@@ -1113,7 +1121,8 @@ def test_stage_records_add_up(name, filtering, representation, adjacency):
     passes at most |S_+| * |S_-| pairs (all of them with filtering off), and
     they split into `bulk`, prefilter rejections and `tested`; with the
     prefilter off, into `bulk` and `tested` alone.  Only `comb` removes
-    pairs in bulk."""
+    pairs in bulk or certifies pairs by their zero counts, and a certified
+    pair is adjacent."""
     problem = problem_named(name)
     for prefilter in ("extended", "off"):
         config = RunConfig(
@@ -1136,7 +1145,7 @@ def test_stage_records_add_up(name, filtering, representation, adjacency):
         assert len(stats.stages) == len(problem.equations)
         for i, stage in enumerate(stats.stages):
             assert stage.s0 + stage.s_pos + stage.s_neg == sizes[i]
-            assert stage.adjacent == adjacent[i] <= stage.tested
+            assert stage.certified <= stage.adjacent == adjacent[i] <= stage.tested
             assert stage.tested <= audited[i] <= stage.tested + stage.bulk
             assert stage.bulk + stage.tested <= stage.compatible <= stage.pairs
             if prefilter == "off":
@@ -1144,7 +1153,7 @@ def test_stage_records_add_up(name, filtering, representation, adjacency):
             if not filtering:
                 assert stage.compatible == stage.pairs
             if adjacency == "alg":
-                assert stage.bulk == 0
+                assert stage.bulk == stage.certified == 0
 
 
 def test_compatible_counts_equal_a_brute_force_count():
@@ -1341,34 +1350,94 @@ def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
     assert sum(s.bulk for s in state.stats.stages) > 0
 
 
+def certified_pairs(state, k):
+    """The pairs (Z(u), Z(w)) of S_+ x S_- of one stage that pass the group
+    filter and the prefilter and that the zero-count certificate decides:
+    one of the two zero sets has at most one zero outside the other."""
+    problem, cfg = state.problem, state.config
+    values = hyperplane_values(state, k)
+    needs = group_needs(problem.groups) if cfg.filtering else []
+    need = prefilter_need(cfg.dim_prefilter, len(state.processed), state.sep, problem.dim)
+    pos = [mask for mask, t in zip(state.masks, values) if t > 0]
+    neg = [mask for mask, t in zip(state.masks, values) if t < 0]
+    return [
+        (u, w)
+        for u in pos
+        for w in neg
+        if compatible(u & w, needs) and (u & w).bit_count() >= need
+        and ((u & ~w).bit_count() <= 1 or (w & ~u).bit_count() <= 1)
+    ]
+
+
+def check_certificate(state, order):
+    """Steps the state through `order`, checking at every stage that each
+    pair the certificate decides is adjacent under the linear witness scan
+    of `reference_step`, and that `Stage.certified` counts exactly those
+    pairs: none is removed in bulk, since a witness removes only
+    non-adjacent ones.  Returns their number over the run."""
+    total = 0
+    for k in order:
+        pairs = certified_pairs(state, k)
+        assert all(brute_adjacent(u, w, state.masks) for u, w in pairs), k
+        state = step(state, k)
+        assert state.stats.stages[-1].certified == len(pairs), k
+        total += len(pairs)
+    return total
+
+
+@pytest.mark.parametrize("filtering", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(problem=grouped_problems(), prefilter=st.sampled_from(PREFILTER_MODES))
+def test_certified_pairs_are_adjacent_on_every_stage_run_reaches(problem, prefilter, filtering):
+    """The zero-count certificate is exact on the states `run` builds, whose
+    vertices are extreme rays of the cone so far: on random grouped
+    problems, in `run`'s order, every pair it decides has no witness."""
+    config = RunConfig(filtering=filtering, dim_prefilter=prefilter)
+    state = initial_state(problem, "inner", filtering=filtering, dim_prefilter=prefilter)
+    check_certificate(state, order_static(problem, config.ordering))
+
+
+def test_certified_pairs_are_adjacent_on_every_stage_of_loop9():
+    """The same on every stage of loop9 (up to 375 vertices): the 2,187
+    certified pairs are all adjacent under the linear witness scan."""
+    state = initial_state(LOOP9, "inner")
+    assert check_certificate(state, order_static(LOOP9, RunConfig().ordering)) == 2_187
+
+
 # S_- of `sparse_stage`: on both sides of the 30-bit chunk boundaries at 30,
 # 60 and 90, and with whole chunks empty before 179, 269 and 389.
 SPARSE_NEGATIVES = (29, 30, 59, 60, 89, 90, 179, 180, 269, 299, 389)
 
 
 def sparse_stage(prefilter):
-    """A hand-built `inner` stage of 400 vertices over 32 coordinates with
-    pairwise distinct random zero sets, S_- at `SPARSE_NEGATIVES` and S_+
-    at every ninth position: a third of its pairs are adjacent, and the
-    witnesses of the others remove partners in bulk."""
+    """A hand-built `inner` stage of 400 vertices over 36 coordinates, S_-
+    at `SPARSE_NEGATIVES` and S_+ at every ninth position: a third of its
+    pairs are adjacent, and the witnesses of the others remove partners in
+    bulk.  The first 32 coordinates hold pairwise distinct random zero
+    sets.  The last four mark the sides: S_+ is zero on 32 and 33, S_- on
+    34 and 35, S_0 on all four.  So each vertex of a pair has two zeros the
+    other lacks, and the zero-count certificate, which is exact only on the
+    extreme rays `run` builds, decides no pair: the index decides them all."""
     rng = random.Random(7)
-    dim = 32
+    dim = 36
     masks = []
     while len(masks) < 400:
-        mask = sum(1 << j for j in range(dim) if rng.random() < 0.7)
+        mask = sum(1 << j for j in range(32) if rng.random() < 0.7)
         if mask not in masks:
             masks.append(mask)
     rows = []
     for i in range(len(masks)):
         if i in SPARSE_NEGATIVES:
             t = -rng.randint(1, 3)
+            masks[i] |= 0b1100 << 32
         else:
             t = rng.randint(1, 3) if i % 9 == 4 else 0
+            masks[i] |= (0b0011 if t else 0b1111) << 32
         rows.append([t, rng.randint(-3, 3)])
     problem = EnumerationProblem(dim, (sparse_row((0,) * dim),) * 2, ())
     config = RunConfig(dim_prefilter=prefilter, filtering=False)
-    # sep 15: the extended prefilter asks for 15 common zeros, about the mean.
-    return EngineState(problem, config, masks, rows, [], [0, 1], 15, RunStats())
+    # sep 19: the extended prefilter asks for 15 common zeros, about the mean.
+    return EngineState(problem, config, masks, rows, [], [0, 1], 19, RunStats())
 
 
 @pytest.mark.parametrize("prefilter", ["off", "extended"])
@@ -1386,6 +1455,7 @@ def test_walk_jumps_empty_chunks_exactly(prefilter):
     stage = after.stats.stages[-1]
     assert (stage.s_pos, stage.s_neg) == (44, len(SPARSE_NEGATIVES))
     assert stage.bulk > 0 and stage.adjacent > 0
+    assert stage.certified == 0
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -1413,15 +1483,16 @@ def test_bulk_removal_by_the_returned_witness_is_exact(dim, data):
 def test_loop15_work_counters_are_pinned():
     """loop15's pairs by fate under the default configuration, so that any
     change to the adjacency work shows: 13,836,788 in S_+ x S_-, 954,507
-    compatible, 875,994 removed in bulk, 74,467 tested and 47,596
-    adjacent."""
+    compatible, 875,994 removed in bulk, 74,467 tested, 41,667 of those
+    decided by the zero-count certificate, and 47,596 adjacent."""
     problem = standard_matching_equations(
         parse_triangulation((FIXTURES / "loop15.tri").read_text())
     )
     rays, stats = run(problem)
     assert len(rays) == 1_365
     assert totals(stats) == dict(
-        pairs=13_836_788, compatible=954_507, bulk=875_994, tested=74_467, adjacent=47_596
+        pairs=13_836_788, compatible=954_507, bulk=875_994, tested=74_467, certified=41_667,
+        adjacent=47_596,
     )
     assert stats.max_vertex_count == 6_711
 
