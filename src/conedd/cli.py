@@ -81,10 +81,6 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def _write_or_print(text: str, path: Optional[str]) -> None:
     if path:
         Path(path).write_text(text)
@@ -93,14 +89,15 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
 
 
 def _load_problem(path: str, as_triangulation: bool, dedup: bool) -> EnumerationProblem:
-    text = _read_text(path)
+    text = Path(path).read_text()
     if as_triangulation:
         return standard_matching_equations(parse_triangulation(text), dedup=dedup)
     return parse_cone(text)
 
 
-def _coords_label(path: str, as_triangulation: bool) -> str:
-    return "standard" if (as_triangulation or path.endswith(".tri")) else "cone"
+def _coords_label(as_triangulation: bool) -> str:
+    """The `coords` column: the parser the input was read with."""
+    return "standard" if as_triangulation else "cone"
 
 
 def _bench_row(
@@ -148,7 +145,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _write_or_print(write_rays([r.coords for r in rays]), args.output)
     if args.stats:
         row = _bench_row(
-            Path(args.input).name, _coords_label(args.input, args.tri), config, stats, "ok"
+            Path(args.input).name, _coords_label(args.tri), config, stats, "ok"
         )
         _write_csv([row], args.stats)
     return EXIT_OK
@@ -156,15 +153,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_equations(args: argparse.Namespace) -> int:
     problem = standard_matching_equations(
-        parse_triangulation(_read_text(args.input)), dedup=args.dedup
+        parse_triangulation(Path(args.input).read_text()), dedup=args.dedup
     )
     _write_or_print(write_cone(problem), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem = parse_cone(_read_text(args.problem))
-    rays = parse_rays(_read_text(args.rays))
+    problem = parse_cone(Path(args.problem).read_text())
+    rays = parse_rays(Path(args.rays).read_text())
     for index, coords in enumerate(rays):
         if len(coords) != problem.dim:
             raise ParseError(
@@ -181,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_cone(_read_text(args.input))
+    problem = parse_cone(Path(args.input).read_text())
     rays = brute_force_filtered(problem) if args.filtered else brute_force_rays(problem)
     _write_or_print(write_rays([r.coords for r in rays]), args.output)
     return EXIT_OK
@@ -216,7 +213,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for path in inputs:
         instance = Path(path).name
         as_triangulation = path.endswith(".tri")
-        coords = _coords_label(path, as_triangulation)
+        coords = _coords_label(as_triangulation)
         try:
             problem = _load_problem(path, as_triangulation, args.dedup)
             problem_error = None

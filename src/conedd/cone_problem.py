@@ -60,7 +60,8 @@ def _int(token: str) -> int:
         raise ParseError(f"expected an integer, got {token!r}") from None
 
 
-def _content_lines(text: str) -> list[str]:
+def content_lines(text: str) -> list[str]:
+    """The non-empty lines of `text`, each stripped, with `#` comments cut off."""
     out = []
     for line in text.splitlines():
         s = line.split("#", 1)[0].strip()
@@ -75,7 +76,7 @@ def parse_cone(text: str) -> EnumerationProblem:
     Line 1 is `d g`, then g rows of d integers, then `groups k`, then k lines
     of space-separated indices.  `#` starts a comment.
     """
-    lines = _content_lines(text)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty cone file")
     head = lines[0].split()

@@ -48,15 +48,15 @@ are the partners avoiding Z(u) & ~Z(p), save p itself.  So one query
 removes them before they reach the prefilter or the adjacency test.  The
 adjacency test returns the highest witness, which tends to be the newest
 vertex and to share the most zeros with u, so its query removes the most:
-on loop12 68,462 of the 85,622 compatible pairs, leaving 16,200 tested
-(63,821 and 20,892 with the lowest witness).  Most tested pairs need no
-query at all: a pair whose zero sets differ in one coordinate on either
-side is adjacent, by a dimension count (see `step`), and that decides
-9,701 of the 16,200, so 6,499 are queried.  The answer stays exact
-because the zero sets of V_{i-1} are pairwise distinct: they belong to
-distinct extreme rays, and `step` checks that they are at every stage that
-forms pairs.  The dimensional prefilter is one threshold per stage
-(`prefilter_need`) that a pair's common zero count must reach.
+on loop12 68,462 of the 85,622 compatible pairs, leaving 16,200 tested.
+Most tested pairs need no query at all: a pair whose zero sets differ in
+one coordinate on either side is adjacent, by a dimension count (see
+`step`), and that decides 9,701 of the 16,200, so 6,499 are queried.  The
+answer stays exact because the zero sets of V_{i-1} are pairwise
+distinct: they belong to distinct extreme rays, and `step` checks that
+they are at every stage that forms pairs.  The dimensional prefilter is
+one threshold per stage (`prefilter_need`) that a pair's common zero count
+must reach.
 The group filter's tables (`GroupTable`) depend only on the problem's
 groups, so they are built once per run and handed from state to state.
 
@@ -68,8 +68,8 @@ compatible, bulk-removed and tested pairs next to |S_0|, |S_+|, |S_-|,
 The memory proxy (`stage_bytes`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.  Every vertex of a stage stores as many
 values, d under `full` and one per unprocessed hyperplane under `inner`, so
-`step` passes that width and the count takes no walk over V_i.  It reads no
-value while a carried bound says they all fit in one limb:
+the count reads that width off one row and takes no walk over V_i.  It
+reads no value while a carried bound says they all fit in one limb:
 `EngineState.value_bound` bounds |x| over the stored values of V_i.  S_0
 keeps values of V_{i-1} (less one entry under `inner`), and a combination
 a*w - b*u is at most (a - b) times the bound of V_{i-1}, where a - b is at
@@ -91,11 +91,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
-from .exact_linalg import (
-    IntVector, Row, dot, nullspace_generator, rank, rref, unit_row, vector_gcd
-)
+from .exact_linalg import IntVector, Row, dot, nullspace_generator, rank, rref, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
-from .zeroset import group_mask, zero_mask
 
 ADJACENCY_MODES = ("comb", "alg")
 REPRESENTATIONS = ("full", "inner")
@@ -206,7 +203,7 @@ class GroupTable(NamedTuple):
     def of(cls, groups: Sequence[Sequence[int]]) -> GroupTable:
         rest: dict[int, int] = {}
         for group in groups:
-            members = group_mask(group)
+            members = sum(1 << j for j in group)
             for j in group:
                 rest[1 << j] = members ^ (1 << j)
         return cls(rest, sum(rest))  # the keys are distinct single bits
@@ -275,23 +272,22 @@ def vertex_bytes(values: list[int], dim: int) -> int:
     return 8 * ((dim + 63) // 64 + limbs)
 
 
-def stage_bytes(
-    vertices: Sequence[list[int]], dim: int, bound: int, width: int
-) -> tuple[int, int]:
+def stage_bytes(vertices: Sequence[list[int]], dim: int, bound: int) -> tuple[int, int]:
     """The memory proxy of a stage, given its value rows, `vertex_bytes`
     summed in bulk, and an upper bound on |x| over its stored values.
 
-    `bound` is such a bound, or 0 for unknown, and `width` is the number of
-    values every vertex stores, as in every state `run` builds.  Below 2^64
-    every value fits in one limb, none is read and the count is
-    8*|V|*(mask words + width).  Otherwise one scan, a `min` and a `max` per
-    vertex, gives the exact bound; when it needs two limbs, `vertex_bytes`
-    is summed over every vertex."""
+    `bound` is such a bound, or 0 for unknown.  Every row of a stage has
+    one length, as in every state `run` builds, so the width is read off the
+    first row.  Below 2^64 every value fits in one limb, none is read and
+    the count is 8*|V|*(mask words + width).  Otherwise one scan, a `min`
+    and a `max` per vertex, gives the exact bound; when it needs two limbs,
+    `vertex_bytes` is summed over every vertex."""
     if not 0 < bound < _ONE_LIMB:
         lists = list(filter(None, vertices))
         bound = max(max(map(max, lists)), -min(map(min, lists))) if lists else 0
         if bound >= _ONE_LIMB:
             return sum(vertex_bytes(v, dim) for v in vertices), bound
+    width = len(vertices[0]) if vertices else 0
     return 8 * len(vertices) * ((dim + 63) // 64 + width), bound
 
 
@@ -304,7 +300,7 @@ def init_vertices(
     full_bits = (1 << d) - 1
     masks = [full_bits ^ (1 << j) for j in range(d)]
     if representation == "full":
-        return masks, [list(unit_row(d, j)) for j in range(d)]
+        return masks, [[0] * j + [1] + [0] * (d - 1 - j) for j in range(d)]
     vertices = [[0] * len(problem.equations) for _ in range(d)]
     for k, row in enumerate(problem.equations):
         for j, x in row.items():
@@ -477,41 +473,21 @@ def adjacent_combinatorial(
     return cand.bit_length() - 1
 
 
-def restrict(rows: Sequence[Row], mask: int, dim: int) -> tuple[list[Row], list[int]]:
-    """The rows restricted to the columns outside `mask`, and those columns.
+def adjacent_algebraic(common: int, rows: Sequence[Row], dim: int) -> bool:
+    """Rank test: the processed rows `rows` plus unit rows for the common
+    zero set `common`, Z(u) & Z(w), span dim - 2 dimensions.
 
-    A restricted row keeps the entries whose mask bit is clear, with its
-    columns renumbered by their position among the free columns; rows left
-    empty are dropped.
-    """
-    free_cols = [j for j in range(dim) if not mask >> j & 1]
-    column = {j: i for i, j in enumerate(free_cols)}
-    restricted = []
-    for row in rows:
-        r = {column[j]: x for j, x in row.items() if not mask >> j & 1}
-        if r:
-            restricted.append(r)
-    return restricted, free_cols
+    The unit rows span |common| dimensions of their own and clear common's
+    columns from every other row, so the test adds that count to the rank
+    of the rows without those columns.  `rank` reads any column labels, so
+    no column is renumbered."""
+    rest = ({j: x for j, x in row.items() if not common >> j & 1} for row in rows)
+    return common.bit_count() + rank(rest) == dim - 2
 
 
-def adjacent_algebraic(
-    u_mask: int,
-    w_mask: int,
-    problem: EnumerationProblem,
-    processed: Sequence[int],
-    rows: Optional[Sequence[Row]] = None,
-) -> bool:
-    """Rank test: processed rows plus unit rows for Z(u) & Z(w) span d-2 dims.
-
-    The unit rows span |Z(u) & Z(w)| dimensions of their own, so the test
-    adds that count to the rank of the processed rows `restrict`ed to the
-    other columns.  `rows` are the processed rows (taken from the problem
-    when omitted)."""
-    if rows is None:
-        rows = [problem.equations[k] for k in processed]
-    inter = u_mask & w_mask
-    restricted, _ = restrict(rows, inter, problem.dim)
-    return inter.bit_count() + rank(restricted) == problem.dim - 2
+def zero_mask(vector: Sequence[int]) -> int:
+    """Bitmask with bit k set iff vector[k] == 0."""
+    return sum(1 << k for k, x in enumerate(vector) if x == 0)
 
 
 def combine(
@@ -575,9 +551,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     keeps its order.  The removed partners are counted in `bulk`.  The walk
     takes the partners 30 bits at a time and jumps over chunks left empty,
     by the filters or by bulk elimination, straight to the chunk of the
-    lowest partner left.  On loop12 a walk through every chunk met 48,276
-    empty ones in 55,238 (with the lowest witness); this walk takes 5,265
-    chunks.
+    lowest partner left.  On loop12 a walk through every chunk would meet
+    43,734 empty ones in 48,999; this walk takes the other 5,265.
 
     Z(u) & Z(w) is taken once per walked pair: its count is the prefilter's,
     it is the adjacency test's key, and it is the zero set of the
@@ -616,9 +591,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     below 2^64: S_0 keeps values of V_{i-1}, bounded by `state.value_bound`,
     and a combination of u and w is bounded by (a - b) times it, so the bound
     of V_i is `state.value_bound` times `grow`, the spread max - min of the
-    hyperplane's values, at least every a - b (see `stage_bytes`), and every
-    vertex of V_i stores `width` values.  The step's counts go into one
-    `Stage`, appended to `state.stats`.
+    hyperplane's values, at least every a - b (see `stage_bytes`).  The
+    step's counts go into one `Stage`, appended to `state.stats`.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
@@ -688,7 +662,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                         continue
                     tested += 1
                     if not comb:
-                        adjacent = adjacent_algebraic(u_mask, w_mask, problem, state.processed, rows)
+                        adjacent = adjacent_algebraic(common, rows, d)
                     elif zeros >= u_least or zeros >= w_mask.bit_count() - 1:
                         adjacent = True  # the pair spans a 2-face: no witness to look for
                         certified += 1
@@ -724,8 +698,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     remaining = state.remaining[:position] + state.remaining[position + 1:]
-    width = d if drop is None else len(remaining)
-    mem_bytes, bound = stage_bytes(new_vertices, d, state.value_bound * grow, width)
+    mem_bytes, bound = stage_bytes(new_vertices, d, state.value_bound * grow)
     stats = state.stats
     stats.stages.append(Stage(
         k, carried, len(s_pos), s_neg.bit_count(), compatible_count,
@@ -910,8 +883,7 @@ def run(
     start = time.perf_counter()
     d = problem.dim
     masks, vertices = init_vertices(problem, config.representation)
-    width = d if config.representation == "full" else len(problem.equations)
-    mem_bytes, bound = stage_bytes(vertices, d, 0, width)
+    mem_bytes, bound = stage_bytes(vertices, d, 0)
     stats = RunStats((len(vertices), mem_bytes))
     remaining = list(range(len(problem.equations)))
     state = EngineState(problem, config, masks, vertices, [], remaining, 0, stats, bound)

@@ -26,12 +26,6 @@ def dot(row: Row, v: Sequence[int]) -> int:
     return sum(x * v[j] for j, x in row.items())
 
 
-def unit_row(dim: int, index: int) -> IntVector:
-    if not 0 <= index < dim:
-        raise ValueError(f"index {index} out of range for dimension {dim}")
-    return tuple(1 if j == index else 0 for j in range(dim))
-
-
 def vector_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:

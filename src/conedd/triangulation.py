@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .cone_problem import EnumerationProblem
+from .cone_problem import EnumerationProblem, content_lines
 from .errors import ParseError
 from .exact_linalg import Row
 
@@ -100,11 +100,7 @@ def parse_triangulation(text: str) -> Triangulation:
     boundary face or `t:wxyz` for a gluing to tetrahedron t mapping vertices
     0123 to wxyz.  `#` starts a comment.
     """
-    lines = []
-    for line in text.splitlines():
-        s = line.split("#", 1)[0].strip()
-        if s:
-            lines.append(s)
+    lines = content_lines(text)
     if not lines:
         raise ParseError("empty triangulation file")
     try:

@@ -2,14 +2,32 @@
 
 This is how `conedd.dd_engine.recover` worked before it read the rays off
 one reduced row echelon form per run.  It restricts every equation to the
-columns outside the zero set and asks `nullspace_generator` for the one
-generator of what is left, so it shares no code path with the kernel
-recovery beyond the row reduction itself.
+columns outside the zero set (`restrict`, its own copy) and asks
+`nullspace_generator` for the one generator of what is left, so it shares
+no helper with the engine, and no code path with the kernel recovery
+beyond the row reduction itself.
 """
 
-from conedd.dd_engine import Ray, recover, restrict
+from conedd.dd_engine import Ray, recover
 from conedd.errors import InternalError
 from conedd.exact_linalg import nullspace_generator
+
+
+def restrict(rows, mask, dim):
+    """The rows restricted to the columns outside `mask`, and those columns.
+
+    A restricted row keeps the entries whose mask bit is clear, with its
+    columns renumbered by their position among the free columns; rows left
+    empty are dropped.
+    """
+    free_cols = [j for j in range(dim) if not mask >> j & 1]
+    column = {j: i for i, j in enumerate(free_cols)}
+    restricted = []
+    for row in rows:
+        r = {column[j]: x for j, x in row.items() if not mask >> j & 1}
+        if r:
+            restricted.append(r)
+    return restricted, free_cols
 
 
 def reference_recover(problem, mask):

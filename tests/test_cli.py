@@ -76,6 +76,17 @@ def test_enumerate_output_and_stats(tmp_path):
     assert int(row["peak_mem_bytes"]) > 0
 
 
+def test_stats_coords_name_the_parser_used(tmp_path):
+    """The `coords` column follows `--tri`, not the file name: a cone file
+    named `.tri` and read as a cone is labelled `cone`."""
+    cone_named_tri = tmp_path / "gieseking.tri"
+    cone_named_tri.write_text(Path(GIESEKING).read_text())
+    for path, flags, label in ((cone_named_tri, [], "cone"), (ONETET, ["--tri"], "standard")):
+        stats_path = tmp_path / "stats.csv"
+        assert main(["enumerate", "--input", str(path), *flags, "--stats", str(stats_path)]) == 0
+        assert read_csv(stats_path)[0]["coords"] == label
+
+
 def test_equations_roundtrip(capsys):
     assert main(["equations", "--input", ONETET]) == 0
     problem = parse_cone(capsys.readouterr().out)

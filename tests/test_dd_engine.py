@@ -34,6 +34,7 @@ from conedd.dd_engine import (
     step,
     vertex_bytes,
     zero_index,
+    zero_mask,
 )
 from conedd.errors import InternalError
 from conedd.exact_linalg import dot, sparse_row, vector_gcd
@@ -41,7 +42,6 @@ from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations, twisted_layered_loop
 from recovery_reference import check_against_reference
-from conedd.zeroset import group_mask, zero_mask
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -180,7 +180,7 @@ def brute_adjacent(u, w, masks):
 
 def group_needs(groups):
     """(member mask, members that must be zero) for each group."""
-    return [(group_mask(group), len(group) - 1) for group in groups]
+    return [(bits_of(group), len(group) - 1) for group in groups]
 
 
 def compatible(bits, needs):
@@ -396,17 +396,29 @@ def test_partner_index_edge_cases():
     assert group_partners(zero_index([0b0111]).containing, 1, groups)(0b0111) == 1
 
 
-def test_adjacent_algebraic_matches_combinatorial_on_first_stage():
-    state = initial_state(GIESEKING, "full")
-    values = hyperplane_values(state, 0)
-    masks = state.masks
-    s_pos = [i for i, t in enumerate(values) if t > 0]
-    s_neg = [i for i, t in enumerate(values) if t < 0]
-    assert s_pos and s_neg
-    adjacent = adjacency_over(masks)
-    for u in s_pos:
-        for w in s_neg:
-            assert adjacent_algebraic(masks[u], masks[w], GIESEKING, []) == adjacent(u, w)
+@pytest.mark.parametrize("name,filtering", product(("gieseking", "s2xs1"), (True, False)))
+def test_adjacent_algebraic_matches_the_witness_scan_on_every_stage(name, filtering):
+    """The rank test, given the processed rows, agrees with the linear
+    witness scan on the pairs of S_+ x S_- at every stage.  With filtering
+    on, V_{i-1} holds only the compatible extreme rays, so the scan is exact
+    on the compatible pairs alone, the ones `step` tests: a witness of such
+    a pair contains its common zeros and is compatible too."""
+    problem = problem_named(name)
+    needs = group_needs(problem.groups) if filtering else []
+    state = initial_state(problem, "inner", filtering=filtering)
+    checked = 0
+    for k in range(len(problem.equations)):
+        values = hyperplane_values(state, k)
+        rows = [problem.equations[j] for j in state.processed]
+        pos = [mask for mask, t in zip(state.masks, values) if t > 0]
+        neg = [mask for mask, t in zip(state.masks, values) if t < 0]
+        for u, w in product(pos, neg):
+            if compatible(u & w, needs):
+                want = brute_adjacent(u, w, state.masks)
+                assert adjacent_algebraic(u & w, rows, problem.dim) == want, (k, bin(u), bin(w))
+                checked += 1
+        state = step(state, k)
+    assert checked > 0
 
 
 def test_combine_full():
@@ -734,23 +746,22 @@ def test_stage_memory_proxy_counts_every_limb():
     stage = [[1, -2], [2**64, 3], [0, 0], [0, 7]]
     total = sum(vertex_bytes(v, 70) for v in stage)
     # With no bound given the values are read, and the bound is exact.
-    assert stage_bytes(stage, 70, 0, 2) == (total, 2**64) == (8 * (4 * 2 + 9), 2**64)
-    assert stage_bytes([[], []], 70, 0, 0) == (8 * 2 * 2, 0)
+    assert stage_bytes(stage, 70, 0) == (total, 2**64) == (8 * (4 * 2 + 9), 2**64)
+    assert stage_bytes([[], []], 70, 0) == (8 * 2 * 2, 0)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        got = stage_bytes([[1, 0], [0, big]], 70, 0, 2)
+        got = stage_bytes([[1, 0], [0, big]], 70, 0)
         assert got == (8 * (2 * 2 + 3 + limbs), abs(big)), big
     # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
     # no proof of one limb, and the values are read.
-    assert stage_bytes(stage, 70, 3, 2) == (8 * 4 * (2 + 2), 3)
-    assert stage_bytes(stage, 70, 2**64 - 1, 2) == (8 * 4 * (2 + 2), 2**64 - 1)
-    assert stage_bytes(stage, 70, 2**64, 2) == (total, 2**64)
+    assert stage_bytes(stage, 70, 3) == (8 * 4 * (2 + 2), 3)
+    assert stage_bytes(stage, 70, 2**64 - 1) == (8 * 4 * (2 + 2), 2**64 - 1)
+    assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
     # The one-limb count is 8*|V|*(mask words + width): the vertices are not
-    # walked for it, and the width is taken at its word.
+    # walked for it, and the width is read off the first row.
     uniform = [[1, -2], [5, 3], [0, 0]]
-    assert stage_bytes(uniform, 70, 0, 2) == stage_bytes(uniform, 70, 5, 2) == (8 * 3 * (2 + 2), 5)
-    assert stage_bytes(uniform, 70, 5, 9) == (8 * 3 * (2 + 9), 5)
-    assert stage_bytes([], 70, 0, 2) == (0, 0)
+    assert stage_bytes(uniform, 70, 0) == stage_bytes(uniform, 70, 5) == (8 * 3 * (2 + 2), 5)
+    assert stage_bytes([], 70, 0) == (0, 0)
 
 
 # The fixture runs that finish: every fixture filtered, and all but loop9

@@ -15,7 +15,6 @@ from conedd.exact_linalg import (
     rank,
     rref,
     sparse_row,
-    unit_row,
     vector_gcd,
 )
 
@@ -38,12 +37,6 @@ def test_dot():
     assert dot({0: 1, 1: 2, 2: 3}, (4, 5, 6)) == 32
     assert dot({1: 2, 3: -1}, (7, 5, 9, 4)) == 6
     assert dot({}, ()) == 0
-
-
-def test_unit_row():
-    assert unit_row(4, 2) == (0, 0, 1, 0)
-    with pytest.raises(ValueError):
-        unit_row(4, 4)
 
 
 def test_vector_gcd():

@@ -3,8 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conedd.dd_engine import vertex_bytes
-from conedd.zeroset import group_mask, zero_mask
+from conedd.dd_engine import vertex_bytes, zero_mask
 
 
 def bits_of(indices):
@@ -25,11 +24,6 @@ def test_words_counts_64_bit_blocks():
     assert vertex_bytes([], 7) == 8
     assert vertex_bytes([], 64) == 8
     assert vertex_bytes([], 130) == 3 * 8
-
-
-def test_group_mask():
-    assert group_mask((4, 5, 6)) == 0b1110000
-    assert group_mask(()) == 0
 
 
 coords = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=40)
