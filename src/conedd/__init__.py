@@ -10,7 +10,7 @@ from .cone_problem import (
     write_rays,
 )
 from .dd_engine import Ray, RunConfig, RunStats, recover, run
-from .oracle import OracleLimit, brute_force_filtered, brute_force_rays
+from .oracle import brute_force_filtered, brute_force_rays
 from .ordering import (
     OrderingStrategy,
     choose_dynamic,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnumerationProblem",
-    "OracleLimit",
     "OrderingStrategy",
     "Ray",
     "RunConfig",

@@ -107,17 +107,8 @@ def _bench_row(
     stats: Optional[RunStats],
     status: str,
 ) -> dict:
-    row = {
-        "instance": instance,
-        "coords": coords,
-        **_labels(config),
-        "time_ms": "",
-        "peak_mem_bytes": "",
-        "max_vi": "",
-        "final_count": "",
-        "sep_g": "",
-        "status": status,
-    }
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(instance=instance, coords=coords, status=status, **_labels(config))
     if stats is not None:
         row.update(
             time_ms=f"{stats.elapsed_s * 1000.0:.3f}",

@@ -319,11 +319,7 @@ def _position(state: EngineState, k: int) -> int:
 
 def hyperplane_values(state: EngineState, k: int) -> list[int]:
     """Value of each vertex of the state against hyperplane k, in order."""
-    return _values_at(state, k, _position(state, k))  # also rejects a processed hyperplane
-
-
-def _values_at(state: EngineState, k: int, position: int) -> list[int]:
-    """`hyperplane_values`, given hyperplane k's `_position`."""
+    position = _position(state, k)  # also rejects a processed hyperplane
     if state.config.representation == "full":
         row = state.problem.equations[k]
         return [dot(row, v) for v in state.vertices]
@@ -597,8 +593,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     problem, cfg = state.problem, state.config
     d = problem.dim
     masks, vertices = state.masks, state.vertices
+    values = hyperplane_values(state, k)
     position = _position(state, k)
-    values = _values_at(state, k, position)
     drop = position if cfg.representation == "inner" else None
     processed_count = len(state.processed)
     sep_before = state.sep
@@ -847,7 +843,7 @@ def recover(problem: EnumerationProblem, mask: int, kernel: Optional[RecoveryKer
     if len(outside) != (kernel.pivots & ~mask).bit_count():
         raise InternalError("recovered vector does not match its zero set")  # a pivot is 0
     den = kernel.den
-    sums = {p: -sum(gen[i] * c for i, c in row.items()) for p, row in outside.items()}
+    sums = {p: -dot(row, gen) for p, row in outside.items()}
     scale = 1
     for p, n in sums.items():
         scale = lcm(scale, abs(den[p]) // gcd(n, den[p]))
@@ -890,7 +886,8 @@ def run(
     del masks, vertices  # V_0 is freed with the first stage, not held to the end
 
     # Config and problem are validated by now: a ValueError from here on is
-    # a broken invariant (say, a zero nullspace generator), not bad input.
+    # a broken invariant (say, a recovery order that is not a permutation of
+    # the kernel's columns), not bad input.
     try:
         order = None if config.ordering.kind == "dynamic" else iter(order_static(problem, config.ordering))
         while state.remaining:

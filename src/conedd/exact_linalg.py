@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: dot products, gcd normalization, rank, nullspaces.
+"""Exact integer linear algebra: dot products, gcds, rank, nullspaces.
 
 Everything runs on unbounded Python ints.  Rank, nullspace and the reduced
 row echelon form share one sparse row reduction (`_reduce`), and one row
@@ -33,17 +33,6 @@ def vector_gcd(v: Sequence[int]) -> int:
         if g == 1:
             break
     return g
-
-
-def gcd_normalize(v: Sequence[int]) -> IntVector:
-    """Divide by the gcd of the entries; negate if every entry is <= 0."""
-    g = vector_gcd(v)
-    if g == 0:
-        raise ValueError("cannot normalize the zero vector")
-    w = tuple(x // g for x in v)
-    if all(x <= 0 for x in w):
-        w = tuple(-x for x in w)
-    return w
 
 
 def sparse_row(row: Sequence[int]) -> Row:
@@ -143,7 +132,7 @@ def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
 
     `rows` are `{column: value}` rows with columns in range(ncols).  The
     result has gcd 1, and its last non-zero entry, at the one column without
-    a pivot, is positive; so it is also fixed by gcd_normalize.
+    a pivot, is positive.
 
     The reduction stops at the (ncols - 1)-th pivot.  The generator of those
     pivots is then the answer iff every row not yet reduced vanishes on it,
@@ -158,7 +147,7 @@ def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
     x[free_col] = 1
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
-        val = sum(x[j] * v for j, v in row.items())  # x[col] is still 0
+        val = dot(row, x)  # x[col] is still 0
         p = row[col]
         r = gcd(val, p)
         scale = abs(p) // r if val else 1
@@ -166,7 +155,8 @@ def nullspace_generator(rows: Iterable[Row], ncols: int) -> Optional[IntVector]:
             x = [scale * t for t in x]
             val *= scale
         x[col] = -val // p
-    gen = gcd_normalize(x)
-    if any(sum(gen[j] * v for j, v in row.items()) for row in rows):
+    g = vector_gcd(x)
+    gen = tuple(t // g for t in x)
+    if any(dot(row, gen) for row in rows):
         return None
     return gen

@@ -17,7 +17,7 @@ from conedd.cli import main
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import RunConfig, Stage, final_recovery_kernel, prefilter_need, run
 from conedd.exact_linalg import sparse_row
-from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays
+from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import (
     Triangulation,
@@ -98,13 +98,12 @@ def test_random_suite_matches_oracle():
     oracle exactly, and filtering during the run equals filtering after an
     unfiltered run, in under 60 seconds."""
     start = time.perf_counter()
-    limit = OracleLimit(max_subsets=5_000_000)
     mismatches = 0
     for problem in RANDOM_SUITE:
         filtered, _ = run(problem)
         unfiltered, _ = run(problem, RunConfig(filtering=False))
-        want_filtered = [r.coords for r in brute_force_filtered(problem, limit)]
-        want_unfiltered = [r.coords for r in brute_force_rays(problem, limit)]
+        want_filtered = [r.coords for r in brute_force_filtered(problem)]
+        want_unfiltered = [r.coords for r in brute_force_rays(problem)]
         got_filtered = [r.coords for r in filtered]
         if got_filtered != want_filtered:
             mismatches += 1

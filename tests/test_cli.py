@@ -10,7 +10,6 @@ from conedd import dd_engine
 from conedd.cli import BENCH_COLUMNS, main
 from conedd.cone_problem import parse_cone, parse_rays
 from conedd.errors import InternalError
-from conedd.exact_linalg import gcd_normalize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GIESEKING = str(FIXTURES / "gieseking.cone")
@@ -149,6 +148,13 @@ def test_oracle_unfiltered(capsys):
     ]
 
 
+def test_oracle_beyond_its_dimension_limit_exits_1(tmp_path, capsys):
+    cone = tmp_path / "orthant15.cone"
+    cone.write_text("15 0\ngroups 0\n")
+    assert main(["oracle", "--input", str(cone)]) == 1
+    assert "exceeds the oracle limit 14" in capsys.readouterr().err
+
+
 def test_bench_matrix(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(
@@ -257,12 +263,12 @@ def test_value_error_inside_the_run_exits_2(monkeypatch, capsys):
     broken invariant, not an input error."""
 
     def zero_generator(rows, ncols):
-        return gcd_normalize([0] * ncols)  # raises ValueError
+        raise ValueError("zero nullspace generator")
 
     monkeypatch.setattr(dd_engine, "nullspace_generator", zero_generator)
     assert main(["enumerate", "--tri", "--input", str(FIXTURES / "s2xs1.tri")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("internal error:") and "cannot normalize the zero vector" in err
+    assert err.startswith("internal error:") and "zero nullspace generator" in err
 
 
 def test_enumerate_deterministic(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conedd.exact_linalg import (
     dense_row,
     dot,
-    gcd_normalize,
     nullspace_generator,
     rank,
     rref,
@@ -43,21 +42,6 @@ def test_vector_gcd():
     assert vector_gcd((6, -9, 12)) == 3
     assert vector_gcd((0, 0)) == 0
     assert vector_gcd((5,)) == 5
-
-
-def test_gcd_normalize():
-    assert gcd_normalize((2, 4, 6)) == (1, 2, 3)
-    assert gcd_normalize((-2, -4)) == (1, 2)
-    assert gcd_normalize((0, -3, 3)) == (0, -1, 1) or gcd_normalize((0, -3, 3)) == (0, 1, -1)
-    with pytest.raises(ValueError):
-        gcd_normalize((0, 0, 0))
-
-
-def test_gcd_normalize_sign_convention():
-    # A vector with mixed signs keeps its orientation; an all-nonpositive
-    # vector is flipped to nonnegative.
-    assert gcd_normalize((0, -2, 2)) == (0, -1, 1)
-    assert gcd_normalize((0, -2, -2)) == (0, 1, 1)
 
 
 def test_rank_examples():
@@ -130,7 +114,7 @@ def test_nullspace_generator_scaling():
     # 2x = 3y has integer generator (3, 2).
     gen = nullspace_generator([{0: 2, 1: -3}], 2)
     assert gen in ((3, 2), (-3, -2))
-    assert gen == gcd_normalize(gen)
+    assert vector_gcd(gen) == 1 and [x for x in gen if x][-1] > 0
 
 
 def _rref_fraction(rows, ncols):
@@ -243,19 +227,10 @@ def test_nullspace_generator_is_orthogonal(rows):
     gen = nullspace_generator(sparse(rows), ncols)
     if gen is not None:
         assert any(gen)
-        assert gen == gcd_normalize(gen)
+        assert vector_gcd(gen) == 1 and [x for x in gen if x][-1] > 0
         for r in rows:
             assert dot(sparse_row(r), gen) == 0
         assert rank(sparse(rows)) == ncols - 1
-
-
-@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8))
-def test_gcd_normalize_idempotent(v):
-    if not any(v):
-        return
-    once = gcd_normalize(tuple(v))
-    assert gcd_normalize(once) == once
-    assert vector_gcd(once) == 1
 
 
 @st.composite

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from conedd import oracle
 from conedd.cone_problem import EnumerationProblem, parse_cone
 from conedd.errors import LimitError
 from conedd.exact_linalg import sparse_row
-from conedd.oracle import OracleLimit, brute_force_filtered, brute_force_rays, is_extreme
+from conedd.oracle import brute_force_filtered, brute_force_rays, is_extreme
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,18 +52,9 @@ def test_is_extreme():
     assert not is_extreme(GIESEKING, (1, 1, 1, 1, 1, 1, 1))
 
 
-def test_dimension_limit():
+def test_dimension_limit(monkeypatch):
     p = EnumerationProblem(dim=15, equations=(), groups=())
     with pytest.raises(LimitError):
         brute_force_rays(p)
-    assert len(brute_force_rays(p, OracleLimit(max_dim=15))) == 15
-
-
-def test_subset_budget():
-    with pytest.raises(LimitError):
-        brute_force_rays(GIESEKING, OracleLimit(max_subsets=3))
-
-
-def test_limit_validation():
-    with pytest.raises(ValueError):
-        OracleLimit(max_dim=0)
+    monkeypatch.setattr(oracle, "MAX_DIM", 15)
+    assert len(brute_force_rays(p)) == 15
