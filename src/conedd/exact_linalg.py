@@ -27,6 +27,13 @@ def dot(row: Row, v: Sequence[int]) -> int:
 
 
 def vector_gcd(v: Sequence[int]) -> int:
+    # Keep the loop.  `gcd(*v)` is faster a call (0.147 -> 0.102 s over the
+    # 156,595 value rows a census8 seed 0 pass normalises, 2-core Intel
+    # Xeon VM, CPython 3.11.7), but CPython keeps its argument tuples in
+    # per-length free lists: the pass's `tracemalloc` peak went from 369 to
+    # 758 KiB, with 423 KiB still held after it, and perfbench's census8
+    # `peak_rss_mb` from 2.5-2.625 to 2.875-3.0.  `reduce(gcd, v, 0)` is
+    # slower, 0.248 s.
     g = 0
     for x in v:
         g = gcd(g, x)
@@ -80,9 +87,11 @@ def _reduce(rows: Iterable[Row], limit: Optional[int] = None) -> dict[int, Row]:
     until that column has no pivot; then, divided by the gcd of its
     entries, it becomes the pivot of that column.  The input rows are not
     modified.  With `limit` given the reduction stops at that many pivots,
-    leaving the rest of an iterator unread.
+    leaving the rest of an iterator unread; at 0 it reads no row.
     """
     pivots: dict[int, Row] = {}
+    if limit == 0:
+        return pivots
     for row in rows:
         while row:
             col = min(row)

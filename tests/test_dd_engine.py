@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedd import dd_engine
+from conedd import dd_engine, exact_linalg
 from conedd.cone_problem import EnumerationProblem, admissible, parse_cone
 from conedd.dd_engine import (
     PREFILTER_MODES,
@@ -988,6 +988,64 @@ def test_run_recovers_each_final_vertex_once(monkeypatch, name, filtering):
             assert calls == {"recover": len(final), "nullspace inside recover": len(final)}
         else:
             assert calls == {}
+
+
+@pytest.mark.parametrize(
+    "name,filtering,rays,eliminations",
+    [("loop12", True, 323, 0), ("loop15", True, 1_365, 0), ("loop6", False, 393, 1_675)],
+)
+def test_recovery_eliminations_are_pinned(monkeypatch, name, filtering, rays, eliminations):
+    """The row updates (`_eliminate`) made inside `recover` over a whole
+    run.  A ray whose inside rows have n - 1 distinct lowest unknowns is
+    solved from one row per lowest unknown, with none: every ray of loop12
+    and loop15, and 85 of the 393 of the unfiltered n = 6 loop."""
+    problem = problem_named(name)
+    count = Counter()
+    depth = [0]
+    real_recover, real_eliminate = dd_engine.recover, exact_linalg._eliminate
+
+    def counted_recover(*args):
+        count["recover"] += 1
+        depth[0] += 1
+        try:
+            return real_recover(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_eliminate(*args):
+        count["eliminate"] += depth[0] > 0
+        return real_eliminate(*args)
+
+    monkeypatch.setattr(dd_engine, "recover", counted_recover)
+    monkeypatch.setattr(exact_linalg, "_eliminate", counted_eliminate)
+    final, _ = run(problem, RunConfig(filtering=filtering))
+    assert len(final) == count["recover"] == rays
+    assert count["eliminate"] == eliminations
+
+
+def test_recover_checks_every_inside_constraint(monkeypatch):
+    """Pivots 0, 1 and 2 lie in the mask, so the unknowns x_3, x_4, x_5 must
+    meet all three rows.  Any two of them leave one line, and only two go
+    to `nullspace_generator`; the third does not vanish on that line, so
+    the ray is refused, as the reference refuses it.  Without the third row
+    the same mask gives a ray."""
+    rows = [(1, 0, 0, 1, -1, 0), (0, 1, 0, 0, 1, -1), (0, 0, 1, 1, 0, 1)]
+    mask = 0b111
+    two = EnumerationProblem(dim=6, equations=tuple(map(sparse_row, rows[:2])), groups=())
+    assert recover(two, mask) == Ray((0, 0, 0, 1, 1, 1))
+    problem = EnumerationProblem(dim=6, equations=tuple(map(sparse_row, rows)), groups=())
+    given = []
+    real = dd_engine.nullspace_generator
+
+    def recorded(rows, ncols):
+        given.append(list(rows))
+        return real(given[-1], ncols)
+
+    monkeypatch.setattr(dd_engine, "nullspace_generator", recorded)
+    with pytest.raises(InternalError, match="one-dimensional"):
+        recover(problem, mask)
+    assert [len(r) for r in given] == [2]
+    assert check_against_reference(problem, [mask]) == 0
 
 
 def two_limb_cone(seed):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conedd.exact_linalg import (
+    _reduce,
     dense_row,
     dot,
     nullspace_generator,
@@ -75,6 +76,30 @@ def test_nullity_one_then_zero_from_the_last_row():
     rows = sparse([(1, -1, 0), (0, 1, -1)])
     assert nullspace_generator(rows, 3) == (1, 1, 1)
     assert nullspace_generator(rows + [{0: 1}], 3) is None
+
+
+def test_reduce_reads_no_row_past_its_limit():
+    """`_reduce` stops at `limit` pivots and leaves the rest of an iterator
+    unread; at a limit of 0 it reads no row at all."""
+    rows = iter([{0: 2}, {0: 3}, {0: 5}])
+    assert _reduce(rows, 0) == {}
+    assert list(rows) == [{0: 2}, {0: 3}, {0: 5}]
+    rows = iter([{0: 1}, {1: 1}, {2: 1}])
+    assert _reduce(rows, 2) == {0: {0: 1}, 1: {1: 1}}
+    assert list(rows) == [{2: 1}]
+
+
+def test_one_column_nullspace_only_substitutes():
+    """With one column the reduction stops at 0 pivots, so the generator is
+    (1,) unless a row, read only to substitute (1,) into, is not empty; the
+    first such row ends the reading."""
+    assert nullspace_generator([], 1) == (1,)
+    assert nullspace_generator([{}], 1) == (1,)
+    assert nullspace_generator([{0: 2}], 1) is None
+    assert nullspace_generator([{}, {0: -1}], 1) is None
+    rows = iter([{0: 2}, {0: 3}, {0: 5}])
+    assert nullspace_generator(rows, 1) is None
+    assert list(rows) == [{0: 3}, {0: 5}]
 
 
 def test_sparse_row():
