@@ -8,16 +8,17 @@ sides.  With filtering enabled, only pairs whose combination can still meet
 the group constraints are considered, so inadmissible rays never enter the
 working sets.
 
-A stage is two parallel lists, with no object per vertex:
+A stage is a list and one flat store, with no object per vertex:
 `EngineState.masks` holds each working vertex's zero set as an int bitmask,
-and `EngineState.vertices` its row of integer values, in the same order.
-The bare mask is the only zero-set type; recovery takes it too, and the
-pair loop reads the masks of a stage straight from the state.  The
-representation switch decides only what the values are.  Under `full` they
-are the coordinates, and a hyperplane value is a dot product.  Under
-`inner` they are the inner products with the hyperplanes not yet processed,
-in the order of `EngineState.remaining`; a hyperplane value is a list
-entry, and each step deletes the processed entry, so the rows shrink as the
+and `EngineState.store` the vertices' integer values row-major, in the same
+order (`EngineState.vertices` is a read-only view of its rows).  The bare
+mask is the only zero-set type; recovery takes it too, and the pair loop
+reads the masks of a stage straight from the state.  The representation
+switch decides only what the values are.  Under `full` they are the
+coordinates, and a hyperplane value is a dot product.  Under `inner` they
+are the inner products with the hyperplanes not yet processed, in the order
+of `EngineState.remaining`; a hyperplane's values are one extended slice
+of the store, and each step deletes that column, so the rows shrink as the
 run goes on.  Compatibility, the prefilter and the combinatorial adjacency
 test read only the masks.  At the end, `full` vertices already hold their
 coordinates and `inner` ones are resolved by `recover` from their zero-set
@@ -71,30 +72,32 @@ compatible, bulk-removed and tested pairs next to |S_0|, |S_+|, |S_-|,
 The memory proxy (`stage_bytes`) counts 8 bytes per mask word and per
 64-bit limb of every stored value.  Every vertex of a stage stores as many
 values, d under `full` and one per unprocessed hyperplane under `inner`, so
-the count reads that width off one row and takes no walk over V_i.  It
+the count takes that width from the state and walks no vertex of V_i.  It
 reads no value while a carried bound says they all fit in one limb:
 `EngineState.value_bound` bounds |x| over the stored values of V_i.  S_0
 keeps values of V_{i-1} (less one entry under `inner`), and a combination
 a*w - b*u is at most (a - b) times the bound of V_{i-1}, where a - b is at
 most the spread max - min of the stage's hyperplane values, so `step`
 multiplies the bound by that spread.  Only when that product reaches 2^64
-does a scan of V_i reset it to the exact maximum: besides the scan of each
-V_0, that is 111 of the 7,680 stages of a census8 pass.
+does a scan of V_i reset it to the exact maximum: 111 of the 7,680 stages
+of a census8 pass (seed 1).  V_0's bound is its largest |coefficient|, read
+off the equations (1 under `full`), so no V_0 is scanned.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_, itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import add, and_
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .cone_problem import EnumerationProblem
 from .errors import InternalError, LimitError
-from .exact_linalg import IntVector, Row, dot, nullspace_generator, rank, rref, vector_gcd
+from .exact_linalg import IntVector, Row, nullspace_generator, rank, rref, vector_gcd
 from .ordering import OrderingStrategy, choose_dynamic, order_static
 
 ADJACENCY_MODES = ("comb", "alg")
@@ -212,32 +215,60 @@ class GroupTable(NamedTuple):
         return cls(rest, sum(rest))  # the keys are distinct single bits
 
 
+Store = Union[array, list[int]]  # an array of any typecode, or a list past 2^63
+
+
+class ValueRows(Sequence[list[int]]):
+    """Read-only view of a value store's rows: `len()` is the number of
+    vertices, and row j, `store[j*width:(j+1)*width]`, reads as a list."""
+
+    __slots__ = ("store", "width", "count")
+
+    def __init__(self, store: Store, width: int, count: int) -> None:
+        self.store, self.width, self.count = store, width, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, j: int) -> list[int]:
+        if not 0 <= j < self.count:
+            raise IndexError("vertex index out of range")
+        lo = j * self.width
+        return list(self.store[lo : lo + self.width])
+
+
 @dataclass
 class EngineState:
-    """V_i with its bookkeeping, as two parallel lists: `masks` holds the
-    zero sets and `vertices` the value rows, vertex j being `masks[j]` and
-    `vertices[j]`.  A value row holds the coordinates under `full`, and the
-    products with the unprocessed hyperplanes under `inner`.  `processed`
-    lists the hyperplanes in the order they were handled; `remaining` lists
-    the others, in the order of the values of an `inner` row.
+    """V_i with its bookkeeping: `masks` holds the zero sets and `store`
+    the values, row-major, vertex j being `masks[j]` and row j of `store`
+    (`vertices[j]`).  A row holds the coordinates under `full`, and the
+    products with the unprocessed hyperplanes under `inner`, so it is
+    `width` values long.  `processed` lists the hyperplanes in the order
+    they were handled; `remaining` lists the others, in the order of the
+    values of an `inner` row.
 
-    The rows are lists, not tuples: under `inner` they lose one entry a
-    stage, and freed tuples of every length would fill CPython's per-length
-    tuple free lists (peak RSS 2.25 MiB against 1.625 MiB on the unfiltered
-    n = 6 loop).
+    The store is one `array` a stage.  V_0 gets the narrowest of the
+    typecodes 'b', 'h', 'i' and 'q' (signed 8 to 64 bits) that holds +-x
+    for its largest |x|, and a value that does not fit widens the store to
+    the next; past 2^63 it becomes a list, so the arithmetic stays exact.
+    A store never narrows within a run: each step starts its store as the
+    kind of the one before.  Every value of loop12 (max |x| 19), the unfiltered
+    n = 6 loop (16) and census8 (70) fits in a signed byte, and loop12's
+    largest stage, 1,585 rows of 10 values, takes 15.5 KiB, where a list
+    a row took about 228 KiB.
 
-    `value_bound` is an upper bound on |x| over every stored value of
-    `vertices`, carried from stage to stage so that the memory proxy need
-    not read the values (see `stage_bytes`); 0, the default, means unknown,
-    and the bound is exact right after a scan.  `group_table` is the
-    group filter's `GroupTable`, of the problem's groups with filtering on
-    and empty with it off; it is built with the first state of a run and
-    handed on by `step`."""
+    `value_bound` is an upper bound on |x| over every stored value,
+    carried from stage to stage so that the memory proxy need not read the
+    values (see `stage_bytes`); 0, the default, means unknown, and the
+    bound is exact right after a scan.  `group_table` is the group filter's
+    `GroupTable`, of the problem's groups with filtering on and empty with
+    it off; it is built with the first state of a run and handed on by
+    `step`."""
 
     problem: EnumerationProblem
     config: RunConfig
     masks: list[int]
-    vertices: list[list[int]]
+    store: Store
     processed: list[int]
     remaining: list[int]
     sep: int
@@ -248,6 +279,15 @@ class EngineState:
     def __post_init__(self) -> None:
         if self.group_table is None:
             self.group_table = GroupTable.of(self.problem.groups if self.config.filtering else ())
+
+    @property
+    def width(self) -> int:
+        """The number of values a vertex stores."""
+        return self.problem.dim if self.config.representation == "full" else len(self.remaining)
+
+    @property
+    def vertices(self) -> ValueRows:
+        return ValueRows(self.store, self.width, len(self.masks))
 
 
 # Pair audit callback: (processed_count, sep_before, zero_count, adjacent).
@@ -275,40 +315,69 @@ def vertex_bytes(values: list[int], dim: int) -> int:
     return 8 * ((dim + 63) // 64 + limbs)
 
 
-def stage_bytes(vertices: Sequence[list[int]], dim: int, bound: int) -> tuple[int, int]:
+def stage_bytes(rows: ValueRows, dim: int, bound: int) -> tuple[int, int]:
     """The memory proxy of a stage, given its value rows, `vertex_bytes`
     summed in bulk, and an upper bound on |x| over its stored values.
 
-    `bound` is such a bound, or 0 for unknown.  Every row of a stage has
-    one length, as in every state `run` builds, so the width is read off the
-    first row.  Below 2^64 every value fits in one limb, none is read and
-    the count is 8*|V|*(mask words + width).  Otherwise one scan, a `min`
-    and a `max` per vertex, gives the exact bound; when it needs two limbs,
-    `vertex_bytes` is summed over every vertex."""
+    `bound` is such a bound, or 0 for unknown.  Below 2^64 every value fits
+    in one limb, none is read and the count is 8*|V|*(mask words + width).
+    Otherwise one scan of the store, a `min` and a `max`, gives the exact
+    bound; when it needs two limbs, `vertex_bytes` is summed over every
+    vertex."""
     if not 0 < bound < _ONE_LIMB:
-        lists = list(filter(None, vertices))
-        bound = max(max(map(max, lists)), -min(map(min, lists))) if lists else 0
+        store = rows.store
+        bound = max(max(store), -min(store)) if store else 0
         if bound >= _ONE_LIMB:
-            return sum(vertex_bytes(v, dim) for v in vertices), bound
-    width = len(vertices[0]) if vertices else 0
-    return 8 * len(vertices) * ((dim + 63) // 64 + width), bound
+            return sum(vertex_bytes(v, dim) for v in rows), bound
+    return 8 * len(rows) * ((dim + 63) // 64 + rows.width), bound
 
 
-def init_vertices(
-    problem: EnumerationProblem, representation: str
-) -> tuple[list[int], list[list[int]]]:
+# The next wider typecode of a value store; 'q' widens to a list.
+_WIDER = {"b": "h", "h": "i", "i": "q"}
+
+
+def _widened(store: array) -> Store:
+    """The same values in the next wider store."""
+    code = _WIDER.get(store.typecode)
+    return array(code, store) if code else store.tolist()
+
+
+def _append(store: Store, values: list[int]) -> Store:
+    """`store` with `values` appended, widened first as often as one of
+    them needs."""
+    while type(store) is array:
+        try:
+            store.fromlist(values)  # all or nothing
+            return store
+        except OverflowError:
+            store = _widened(store)
+    store += values
+    return store
+
+
+def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[list[int], Store, int]:
     """V_0, the d unit rays in the requested representation: their zero
-    sets and their value rows."""
+    sets, their value store and the largest |x| it holds.
+
+    Under `full` the store holds the d unit rows, and the bound is 1.  Under
+    `inner` row j holds column j of the equations, so the bound is the
+    largest |coefficient|, and the store is the narrowest that holds it."""
     d = problem.dim
     full_bits = (1 << d) - 1
     masks = [full_bits ^ (1 << j) for j in range(d)]
     if representation == "full":
-        return masks, [[0] * j + [1] + [0] * (d - 1 - j) for j in range(d)]
-    vertices = [[0] * len(problem.equations) for _ in range(d)]
+        store = array("b", bytes(d * d))
+        store[:: d + 1] = array("b", b"\x01" * d)
+        return masks, store, 1
+    g = len(problem.equations)
+    bound = max((abs(x) for row in problem.equations for x in row.values()), default=0)
+    store = array("b", bytes(d * g))
+    while type(store) is array and bound >> (8 * store.itemsize - 1):
+        store = _widened(store)
     for k, row in enumerate(problem.equations):
         for j, x in row.items():
-            vertices[j][k] = x
-    return masks, vertices
+            store[j * g + k] = x
+    return masks, store, bound
 
 
 def _position(state: EngineState, k: int) -> int:
@@ -323,10 +392,13 @@ def _position(state: EngineState, k: int) -> int:
 def hyperplane_values(state: EngineState, k: int) -> list[int]:
     """Value of each vertex of the state against hyperplane k, in order."""
     position = _position(state, k)  # also rejects a processed hyperplane
+    store, width = state.store, state.width
     if state.config.representation == "full":
-        row = state.problem.equations[k]
-        return [dot(row, v) for v in state.vertices]
-    return list(map(itemgetter(position), state.vertices))
+        values = [0] * len(state.masks)
+        for j, x in state.problem.equations[k].items():
+            values = [t + x * v for t, v in zip(values, store[j::width])]
+        return values
+    return list(store[position::width])
 
 
 def prefilter_need(mode: str, processed_count: int, sep_before: int, dim: int) -> int:
@@ -489,57 +561,91 @@ def zero_mask(vector: Sequence[int]) -> int:
     return sum(1 << k for k, x in enumerate(vector) if x == 0)
 
 
-def combine(
-    u: list[int], w: list[int], a: int, b: int, drop: Optional[int], mask: int
-) -> list[int]:
-    """The value row a*w - b*u, divided by the gcd of its values, for the
-    rows u with value a > 0 and w with value b < 0 on the hyperplane being
-    processed; `mask` is Z(u) & Z(w), the zero set of the result.
+# (high, low) masks of the n-byte lanes, by n: the sign bit of each byte,
+# and the seven bits below it.
+_LANES: dict[int, tuple[int, int]] = {}
 
-    Under `inner`, `drop` is the position of that hyperplane's product, which
-    is deleted, and `mask` is not read.  Under `full` `drop` is None, and the
-    zero set of the combined coordinates must equal `mask`.
 
-    When a = 1 and b = -1 (72% of census8's combinations) the values w + u
-    are built in C, by `map` over `operator.add`; otherwise a*w - b*u is a
-    list comprehension, faster than mapping over two `int.__mul__` method
-    wrappers.  Each value is at most (a - b) times the largest |x| of u and
-    w, which is how `step` carries `EngineState.value_bound`.
+def combine(u: Store, w: Store, a: int, b: int, mask: Optional[int], out: Store) -> Store:
+    """Append to the value store `out` the row a*w - b*u, divided by the gcd
+    of its values, and return the store, widened if a value needed it.
 
-    Either way the values are assigned into a copy of w, which has exactly
-    their length: a list built from an iterator is over-allocated, and V_i
-    holds its rows to the next stage (on loop12's largest stage, 184 bytes a
-    combined row against 144, by `sys.getsizeof`; the run's `tracemalloc`
-    peak, 877 against 796 KiB).
+    u and w are the value rows of V_{i-1} with values a > 0 and b < 0 on
+    the hyperplane being processed, as slices of a store no wider than
+    `out`.  The row holds a zero at that hyperplane's column, a*b - b*a,
+    which `step` deletes with the rest of the column under `inner`.  Under
+    `full` `mask` is Z(u) & Z(w), and the zero set of the combined
+    coordinates must equal it; under `inner` it is None.
+
+    When a = 1 and b = -1 (72-84% of the combinations on loop12, census8
+    and the unfiltered n = 6 loop) and `out` holds signed bytes, w + u is
+    added lane-wise on the rows' bytes: each row read as one int, the low
+    seven bits of every byte added and the sign bits put back by an
+    exclusive or, so no carry crosses a byte.  A byte whose inputs share a
+    sign and whose sum does not has overflowed.  Otherwise, while every
+    value is even and one is not 0, each byte is halved (shifted right, its
+    sign bit kept): w + u is twice a primitive row in 91-94% of the non-zero
+    sums with no +-1 on those workloads.  Then a value of +-1, a byte 0x01 or
+    0xff, certifies that the gcd is 1, and the bytes go straight to `out`,
+    as does a row of zeros (the last `inner` stage's, whose only value is
+    the processed one).  Every other row (a lane overflowed, no value is
+    +-1, or wider values) is built as a list, checked for +-1 and
+    normalised by `vector_gcd`.  Each value is at most (a - b) times the
+    largest |x| of u and w, which is how `step` carries
+    `EngineState.value_bound`.
     """
     if a <= 0 or b >= 0:
         raise InternalError("combine requires u on the positive side and w on the negative side")
-    values = w.copy()
-    if a == 1 and b == -1:
-        values[:] = map(add, w, u)
+    start = len(out)
+    row = None  # w + u as signed bytes, when it was added lane-wise and fits
+    if a == 1 and b == -1 and type(out) is array and out.typecode == "b":
+        n = len(w)
+        lanes = _LANES.get(n)
+        if lanes is None:
+            high = int.from_bytes(b"\x80" * n, "little")
+            lanes = _LANES[n] = (high, (high >> 7) * 0x7F)
+        high, low = lanes
+        x = int.from_bytes(w, "little")
+        y = int.from_bytes(u, "little")
+        signs = (x ^ y) & high
+        lanes_sum = ((x & low) + (y & low)) ^ signs
+        if not (lanes_sum ^ x) & (signs ^ high):  # no byte overflowed
+            while lanes_sum and not lanes_sum & (high >> 7):  # every value even: halve each
+                lanes_sum = (lanes_sum >> 1) & low | lanes_sum & high
+            row = lanes_sum.to_bytes(n, "little")
+    if row is not None and (1 in row or 255 in row or not lanes_sum):  # the gcd is 1, or the row 0
+        out.frombytes(row)
     else:
-        values[:] = [a * x - b * y for x, y in zip(w, u)]
-    if drop is None:
-        if zero_mask(values) != mask:
-            raise InternalError("combined ray zero set does not match its coordinates")
-    else:
-        del values[drop]
-    g = vector_gcd(values)
-    if g > 1:
-        values[:] = [x // g for x in values]
-    return values
+        if row is not None:
+            values = array("b", row).tolist()  # no value is +-1
+        elif a == 1 and b == -1:
+            values = list(map(add, w, u))
+        else:
+            values = [a * x - b * y for x, y in zip(w, u)]
+        if row is not None or not (1 in values or -1 in values):
+            g = vector_gcd(values)
+            if g > 1:
+                values = [x // g for x in values]
+        out = _append(out, values)
+    if mask is not None and zero_mask(out[start:]) != mask:
+        raise InternalError("combined ray zero set does not match its coordinates")
+    return out
 
 
 def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> EngineState:
     """Process hyperplane k: V_i from V_{i-1}.
 
-    The new vertex list is S_0 (with the processed product dropped under the
-    inner representation) plus the combinations of compatible, prefiltered,
-    adjacent pairs from S_+ x S_-, taken in ascending S_- position as in a
-    plain double loop.  S_- is a bitset of V_{i-1} positions, and one
-    `zero_index` over V_{i-1} serves both the group filter (`group_partners`)
-    and the adjacency test (`adjacent_combinatorial`; the rank test under
-    `alg`).  `sep` grows by one exactly when both sides are non-empty.
+    The new vertex list is S_0 plus the combinations of compatible,
+    prefiltered, adjacent pairs from S_+ x S_-, taken in ascending S_-
+    position as in a plain double loop.  The new store starts as the same
+    kind as the old one, S_0's rows are copied into it as runs of
+    consecutive rows, and `combine` appends each combination, at the old
+    width; under `inner` one `del` of an extended slice then drops the
+    processed hyperplane's column.  S_- is a bitset of V_{i-1} positions,
+    and one `zero_index` over V_{i-1} serves both the group filter
+    (`group_partners`) and the adjacency test (`adjacent_combinatorial`;
+    the rank test under `alg`).  `sep` grows by one exactly when both
+    sides are non-empty.
 
     Under `comb` a witness p of the pair (u, w) is a witness of every pair
     (u, w') with Z(u) & Z(w') inside Z(p), save w' = p, so each one removes
@@ -595,30 +701,30 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
-    masks, vertices = state.masks, state.vertices
+    masks, store, width = state.masks, state.store, state.width
     values = hyperplane_values(state, k)
     position = _position(state, k)
-    drop = position if cfg.representation == "inner" else None
+    full = cfg.representation == "full"
     processed_count = len(state.processed)
     sep_before = state.sep
 
     new_masks: list[int] = []  # S_0, then the combinations
-    new_vertices: list[list[int]] = []  # their value rows
+    out = store[:0]  # their values, in a store of the same kind
     s_pos: list[int] = []  # V_{i-1} positions
     s_neg = 0  # bitset of V_{i-1} positions
+    start = 0  # where the current run of S_0 began
     for i, t in enumerate(values):
         if t == 0:
             new_masks.append(masks[i])
-            if drop is None:
-                new_vertices.append(vertices[i])
-            else:
-                kept = vertices[i].copy()
-                del kept[drop]
-                new_vertices.append(kept)
-        elif t > 0:
+            continue
+        if start < i:
+            out += store[start * width : i * width]
+        start = i + 1
+        if t > 0:
             s_pos.append(i)
         else:
             s_neg |= 1 << i
+    out += store[start * width :]
 
     carried = len(new_masks)
     grow = 1  # bounds the a - b of every combination; 1 while none is formed
@@ -638,6 +744,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
         for ui in s_pos:
             u_mask, a = masks[ui], values[ui]
+            u_row = store[ui * width : (ui + 1) * width]
             u_least = u_mask.bit_count() - 1  # a partner sharing this many zeros is adjacent
             partners = partners_of(u_mask)
             compatible_count += partners.bit_count()
@@ -679,7 +786,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                             bulk += gone.bit_count() + rest.bit_count()
                     if adjacent:
                         new_masks.append(common)
-                        new_vertices.append(combine(vertices[ui], vertices[i], a, values[i], drop, common))
+                        w_row = store[i * width : (i + 1) * width]
+                        out = combine(u_row, w_row, a, values[i], common if full else None, out)
                 base += _CHUNK_BITS
 
         if pair_audit is not None:  # the plain double loop's stream, from V_i
@@ -695,18 +803,21 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                     if zero_count >= need:
                         pair_audit(processed_count, sep_before, zero_count, common in made)
 
+    if not full:
+        del out[position::width]
+        width -= 1
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     remaining = state.remaining[:position] + state.remaining[position + 1:]
-    mem_bytes, bound = stage_bytes(new_vertices, d, state.value_bound * grow)
+    new_rows = ValueRows(out, width, len(new_masks))
+    mem_bytes, bound = stage_bytes(new_rows, d, state.value_bound * grow)
     stats = state.stats
     stats.stages.append(Stage(
         k, carried, len(s_pos), s_neg.bit_count(), compatible_count,
-        tested, bulk, certified, sep, len(new_vertices), mem_bytes,
+        tested, bulk, certified, sep, len(new_masks), mem_bytes,
     ))
     processed = state.processed + [k]
     return EngineState(
-        problem, cfg, new_masks, new_vertices, processed, remaining, sep, stats, bound,
-        state.group_table,
+        problem, cfg, new_masks, out, processed, remaining, sep, stats, bound, state.group_table,
     )
 
 
@@ -900,12 +1011,13 @@ def run(
         config = RunConfig()
     start = time.perf_counter()
     d = problem.dim
-    masks, vertices = init_vertices(problem, config.representation)
-    mem_bytes, bound = stage_bytes(vertices, d, 0)
-    stats = RunStats((len(vertices), mem_bytes))
+    masks, store, bound = init_vertices(problem, config.representation)
     remaining = list(range(len(problem.equations)))
-    state = EngineState(problem, config, masks, vertices, [], remaining, 0, stats, bound)
-    del masks, vertices  # V_0 is freed with the first stage, not held to the end
+    state = EngineState(problem, config, masks, store, [], remaining, 0, RunStats(), bound)
+    del masks, store  # V_0 is freed with the first stage, not held to the end
+    mem_bytes, state.value_bound = stage_bytes(state.vertices, d, bound)
+    stats = state.stats
+    stats.initial = (d, mem_bytes)
 
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a recovery order that is not a permutation of

@@ -7,6 +7,7 @@ loop instance is opt-in: `pytest -m slow`.
 
 import random
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -375,6 +376,23 @@ def test_twisted_layered_loop_counts(n, budget):
         got == want and elapsed < budget,
         f"{got} rays (want {want}), {elapsed:.1f}s",
     )
+
+
+def test_loop12_solve_peak_stays_small():
+    """Criterion: the loop12 solve allocates at most 520 KiB at its peak
+    (`tracemalloc`).  With one signed-byte value store a stage it peaks at
+    424 KiB on CPython 3.11, and with a list of ints a row it peaked at
+    796 KiB, so a return to per-row lists fails; the margin is for the
+    allocators of other Python versions."""
+    problem = standard_matching_equations(parse_triangulation((FIXTURES / "loop12.tri").read_text()))
+    tracemalloc.start()
+    try:
+        rays, _ = run(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rays) == 323
+    assert peak < 520 * 1024, f"{peak / 1024:.0f} KiB"
 
 
 @pytest.mark.slow

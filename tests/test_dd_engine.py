@@ -1,6 +1,7 @@
 """Tests for the incremental enumeration engine."""
 
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -19,6 +20,7 @@ from conedd.dd_engine import (
     GroupTable,
     RunConfig,
     RunStats,
+    ValueRows,
     adjacent_algebraic,
     adjacent_combinatorial,
     combine,
@@ -60,27 +62,58 @@ def bits_of(indices):
 
 
 def initial_state(problem, representation, **options):
-    """V_0 as `run` builds it, before any hyperplane is processed."""
+    """V_0 as `run` builds it, before any hyperplane is processed; its value
+    bound is left unknown (0)."""
     config = RunConfig(representation=representation, **options)
-    masks, vertices = init_vertices(problem, representation)
+    masks, store, _ = init_vertices(problem, representation)
     g = len(problem.equations)
-    return EngineState(problem, config, masks, vertices, [], list(range(g)), 0, RunStats())
+    return EngineState(problem, config, masks, store, [], list(range(g)), 0, RunStats())
+
+
+def store_of(rows):
+    """The value store of `rows`, row-major: signed bytes when every value
+    fits in one, else a list."""
+    flat = [x for row in rows for x in row]
+    return array("b", flat) if all(-128 <= x < 128 for x in flat) else flat
+
+
+def rows_view(rows):
+    """`rows`, of one length, as the `ValueRows` of their value store."""
+    return ValueRows(store_of(rows), len(rows[0]) if rows else 0, len(rows))
 
 
 def test_init_vertices_full():
-    masks, rows = init_vertices(GIESEKING, "full")
+    masks, store, bound = init_vertices(GIESEKING, "full")
+    rows = list(ValueRows(store, 7, 7))
     assert rows == [[1 if i == j else 0 for i in range(7)] for j in range(7)]
     assert masks == [zero_mask(row) for row in rows]
+    assert (store.typecode, bound) == ("b", 1)
 
 
 def test_init_vertices_inner():
-    masks, rows = init_vertices(GIESEKING, "inner")
+    masks, store, bound = init_vertices(GIESEKING, "inner")
+    rows = list(ValueRows(store, 5, 7))
     assert len(masks) == len(rows) == 7
     for j, (mask, row) in enumerate(zip(masks, rows)):
         assert row == [GIESEKING.equations[k].get(j, 0) for k in range(5)]
         assert mask == ((1 << 7) - 1) ^ (1 << j)
     # Column 0 of the fixture: only the last equation touches coordinate 0.
     assert rows[0] == [0, 0, 0, 0, 1]
+    # The bound is read off the coefficients, and it is what a scan finds.
+    scanned = stage_bytes(ValueRows(store, 5, 7), 7, 0)[1]
+    assert bound == max(max(max(row), -min(row)) for row in rows) == scanned
+    assert store.typecode == "b"
+
+
+@pytest.mark.parametrize("top,typecode", [(127, "b"), (128, "h"), (2**15, "i"), (2**31, "q"), (2**63, None)])
+def test_init_vertices_takes_the_narrowest_store(top, typecode):
+    """V_0's store is the narrowest that holds its largest |coefficient|, a
+    list past 'q'; the rows read back the same."""
+    problem = EnumerationProblem(3, (sparse_row((1, -top, 0)), sparse_row((0, 2, 3))), ())
+    masks, store, bound = init_vertices(problem, "inner")
+    assert bound == top
+    assert getattr(store, "typecode", None) == typecode
+    assert list(ValueRows(store, 2, 3)) == [[1, 0], [-top, 2], [0, 3]]
 
 
 def test_representations_agree_on_hyperplane_values():
@@ -92,7 +125,7 @@ def test_representations_agree_on_hyperplane_values():
     # order of `remaining`, and still agree with the coordinates.
     full, inner = step(full, 2), step(inner, 2)
     assert inner.remaining == full.remaining == [0, 1, 3, 4]
-    assert all(len(v) == 4 for v in inner.vertices)
+    assert inner.width == 4 and all(len(v) == 4 for v in inner.vertices)
     for k in inner.remaining:
         assert hyperplane_values(full, k) == hyperplane_values(inner, k)
 
@@ -105,7 +138,7 @@ def test_partition_first_hyperplane():
     assert values.count(0) == 5
     after = step(state, 0)
     # S_0 is kept in order; the one pair (e6, e5) breaks the quad group.
-    assert (after.masks, after.vertices) == (state.masks[:5], state.vertices[:5])
+    assert (after.masks, list(after.vertices)) == (state.masks[:5], list(state.vertices)[:5])
     assert after.stats.pair_counts == [1]
 
 
@@ -178,7 +211,7 @@ def test_intersection_is_zero_set_of_positive_combination(v, data):
 
 
 def test_adjacent_combinatorial_unit_rays():
-    masks, _ = init_vertices(GIESEKING, "full")
+    masks = init_vertices(GIESEKING, "full")[0]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
     assert adjacency_over(masks)(5, 6)
@@ -364,9 +397,9 @@ def test_step_reads_a_zero_witness_as_non_adjacent():
     problem = EnumerationProblem(dim=4, equations=(sparse_row((1, 0, -1, 0)),), groups=())
     config = RunConfig(representation="full", dim_prefilter="off")
     rows = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]]
-    state = EngineState(problem, config, [zero_mask(r) for r in rows], rows, [], [0], 0, RunStats())
+    state = EngineState(problem, config, [zero_mask(r) for r in rows], store_of(rows), [], [0], 0, RunStats())
     after = step(state, 0)
-    assert (after.masks, after.vertices) == ([0], [[1, 1, 1, 1]])
+    assert (after.masks, list(after.vertices)) == ([0], [[1, 1, 1, 1]])
     stage = after.stats.stages[-1]
     assert (stage.tested, stage.bulk, stage.certified) == (1, 0, 0)
 
@@ -453,36 +486,48 @@ def test_adjacent_algebraic_matches_the_witness_scan_on_every_stage(name, filter
     assert checked > 0
 
 
+def row_of(store, width, j):
+    """Row j of a value store, as the slice `step` hands to `combine`."""
+    return store[j * width : (j + 1) * width]
+
+
+def combined(u, w, a, b, mask=None):
+    """`combine` of rows u and w into an empty store of their kind, read back
+    as a list."""
+    return list(combine(u, w, a, b, mask, u[:0]))
+
+
 def test_combine_full():
-    masks, rows = init_vertices(GIESEKING, "full")
+    masks, store, _ = init_vertices(GIESEKING, "full")
+    e5, e6 = row_of(store, 7, 5), row_of(store, 7, 6)
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
     common = masks[6] & masks[5]
     assert common == bits_of(range(5))
-    assert combine(rows[6], rows[5], 1, -1, None, common) == [0, 0, 0, 0, 0, 1, 1]
+    assert combined(e6, e5, 1, -1, common) == [0, 0, 0, 0, 0, 1, 1]
     # The result is divided by the gcd of its values.
-    assert combine(rows[6], rows[5], 2, -2, None, common) == [0, 0, 0, 0, 0, 1, 1]
+    assert combined(e6, e5, 2, -2, common) == [0, 0, 0, 0, 0, 1, 1]
 
 
 def test_combine_inner():
-    masks, full = init_vertices(GIESEKING, "full")
-    _, inner = init_vertices(GIESEKING, "inner")
+    masks, full, _ = init_vertices(GIESEKING, "full")
+    _, inner, _ = init_vertices(GIESEKING, "inner")
     common = masks[6] & masks[5]
-    rf = combine(full[6], full[5], 1, -1, None, common)
-    # The processed hyperplane's product is dropped; the others are the
-    # products of the combined coordinates with rows 1..4.  The mask is not
-    # read under `inner`.
-    for mask in (common, 0):
-        ri = combine(inner[6], inner[5], 1, -1, 0, mask)
-        assert ri == [dot(GIESEKING.equations[k], rf) for k in range(1, 5)]
+    rf = combined(row_of(full, 7, 6), row_of(full, 7, 5), 1, -1, common)
+    # The products of the combined coordinates with every row; the
+    # processed hyperplane's is 0, and `step` deletes it with its column.
+    ri = combined(row_of(inner, 5, 6), row_of(inner, 5, 5), 1, -1)
+    assert ri == [dot(GIESEKING.equations[k], rf) for k in range(5)]
+    assert ri[0] == 0
 
 
 def test_combine_requires_opposite_sides():
-    masks, rows = init_vertices(GIESEKING, "full")
+    masks, store, _ = init_vertices(GIESEKING, "full")
+    e5, e6 = row_of(store, 7, 5), row_of(store, 7, 6)
     common = masks[5] & masks[6]
     with pytest.raises(InternalError):
-        combine(rows[5], rows[6], -1, 1, None, common)  # sides swapped
+        combined(e5, e6, -1, 1, common)  # sides swapped
     with pytest.raises(InternalError):
-        combine(rows[6], rows[5], 1, 0, None, common)  # w on the hyperplane
+        combined(e6, e5, 1, 0, common)  # w on the hyperplane
 
 
 def test_forged_full_vertex_fails_the_zero_set_check():
@@ -491,7 +536,7 @@ def test_forged_full_vertex_fails_the_zero_set_check():
     state = initial_state(GIESEKING, "full")
     forged = state.masks[6] | 1 << 6
     with pytest.raises(InternalError, match="zero set"):
-        combine(state.vertices[6], state.vertices[5], 1, -1, None, forged & state.masks[5])
+        combined(row_of(state.store, 7, 6), row_of(state.store, 7, 5), 1, -1, forged & state.masks[5])
     state.masks[6] = forged
     with pytest.raises(InternalError, match="zero set"):
         step(state, 0)
@@ -511,7 +556,7 @@ def test_step_refuses_two_vertices_with_one_zero_set(representation):
     if representation == "inner":
         rows = [[dot(equation, row) for equation in problem.equations] for row in rows]
     config = RunConfig(representation=representation)
-    state = EngineState(problem, config, masks, [list(r) for r in rows], [], [0, 1], 0, RunStats())
+    state = EngineState(problem, config, masks, store_of(rows), [], [0, 1], 0, RunStats())
     with pytest.raises(InternalError, match="share a zero set"):
         step(state, 0)
     after = step(state, 1)  # every row is on or above x1 = 0
@@ -520,7 +565,8 @@ def test_step_refuses_two_vertices_with_one_zero_set(representation):
 
 def reference_combine(u, w, a, b, drop):
     """a*w - b*u as a list comprehension, less the entry at `drop`, divided
-    by `vector_gcd`: what `combine` computes, without its zero-set check."""
+    by `vector_gcd`: what `combine` computes, without its zero-set check,
+    and what `step` stores once it has deleted the processed column."""
     values = [a * wv - b * uv for uv, wv in zip(u, w)]
     if drop is not None:
         del values[drop]
@@ -537,12 +583,17 @@ wide = st.one_of(
     st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
     st.integers(min_value=-(2**64) - 1, max_value=-(2**64) + 2),
 )
+# Values of one signed byte, often small, often near the ends of the range.
+byte = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-128, max_value=127),
+    st.sampled_from([-128, -127, -64, 63, 64, 126, 127]),
+)
 # (a, b): the w + u case, and general values on either side of the hyperplane.
 sides = st.one_of(
     st.just((1, -1)),
     st.tuples(st.integers(min_value=1, max_value=2**66), st.integers(min_value=-(2**66), max_value=-1)),
 )
-masks9 = st.integers(min_value=0, max_value=2**9 - 1)
 
 
 def value_pairs(entries):
@@ -554,39 +605,79 @@ def value_pairs(entries):
     ))
 
 
-def check_combine(u, w, a, b, drop, mask):
-    """`combine` against `reference_combine`, leaving u and w as they were,
-    with every value at most (a - b) times the largest |x| of u and w."""
-    before = (u.copy(), w.copy())
-    got = combine(u, w, a, b, drop, mask)
-    assert got == reference_combine(u, w, a, b, drop)
-    assert (u, w) == before
-    top = max(map(abs, u + w), default=0)
-    assert all(abs(x) <= (a - b) * top for x in got)
+def check_combine(u, w, a, b, mask):
+    """`combine` against `reference_combine`, appended to a store that holds
+    one row already, which it keeps, leaving u and w as they were, with
+    every value at most (a - b) times the largest |x| of u and w.  Returns
+    the store."""
+    before = (list(u), list(w))
+    out = combine(u, w, a, b, mask, u[:])
+    assert list(out[len(u):]) == reference_combine(u, w, a, b, None)
+    assert list(out[:len(u)]) == before[0]
+    assert (list(u), list(w)) == before
+    top = max(map(abs, before[0] + before[1]), default=0)
+    assert all(abs(x) <= (a - b) * top for x in out[len(u):])
+    return out
 
 
 @settings(max_examples=200)
-@given(value_pairs(wide), masks9, sides)
-def test_combine_matches_the_reference_under_inner(values, mask, side):
-    """An `inner` combination, dropping the product at every position; the
-    mask, not read under `inner`, is any."""
+@given(value_pairs(wide), sides)
+def test_combine_matches_the_reference_under_inner(values, side):
+    """An `inner` combination, reading no mask."""
     u_values, w_values, _ = values
-    for drop in range(len(u_values)):
-        check_combine(u_values, w_values, *side, drop, mask)
+    store, n = store_of([u_values, w_values]), len(u_values)
+    check_combine(row_of(store, n, 0), row_of(store, n, 1), *side, None)
 
 
 @settings(max_examples=200)
-@given(value_pairs(st.one_of(st.just(0), wide.map(abs))), sides)
+@given(value_pairs(st.one_of(st.just(0), byte.map(abs), wide.map(abs))), sides)
 def test_combine_matches_the_reference_under_full(coords, side):
     """A `full` combination of non-negative coordinates, whose zero set is
-    Z(u) & Z(w).  A mask forged on a coordinate where w is zero always
-    disagrees with the combined coordinates, and is caught."""
+    Z(u) & Z(w), in bytes or past them.  A mask forged on a coordinate
+    where w is zero always disagrees with the combined coordinates, and is
+    caught."""
     u_values, w_values, j = coords
     w_values[j] = 0
+    store, n = store_of([u_values, w_values]), len(u_values)
+    u, w = row_of(store, n, 0), row_of(store, n, 1)
     common = zero_mask(u_values) & zero_mask(w_values)
-    check_combine(u_values, w_values, *side, None, common)
+    check_combine(u, w, *side, common)
     with pytest.raises(InternalError, match="zero set"):
-        combine(u_values, w_values, *side, None, common ^ 1 << j)
+        combined(u, w, *side, common ^ 1 << j)
+
+
+@settings(max_examples=300)
+@given(value_pairs(byte))
+def test_lanewise_add_matches_the_reference(values):
+    """w + u on rows of signed bytes, added lane-wise on their bytes, equals
+    the list arithmetic: with a lane that overflows the store widens, and a
+    row with no +-1 is divided by its gcd.  The store stays signed bytes
+    exactly when every value of the normalised row fits in one."""
+    u_values, w_values, _ = values
+    out = check_combine(array("b", u_values), array("b", w_values), 1, -1, None)
+    fits = all(-128 <= x < 128 for x in reference_combine(u_values, w_values, 1, -1, None))
+    assert out.typecode == ("b" if fits else "h")
+
+
+@pytest.mark.parametrize(
+    "u,w,want,typecode",
+    [
+        ([127, 1, 0], [1, 0, 2], [128, 1, 2], "h"),  # 127 + 1 overflows its lane
+        ([-128, 1], [-1, -2], [-129, -1], "h"),  # so does -128 - 1
+        ([127, -128], [-127, 127], [0, -1], "b"),  # the extremes, with no overflow
+        ([2, 4, 0], [2, 2, 6], [2, 3, 3], "b"),  # halved once, then no +-1 lane
+        ([2, 4, 3], [2, 2, 6], [4, 6, 9], "b"),  # an odd value, and no +-1 lane
+        ([2, -2], [2, -2], [1, -1], "b"),  # halved twice
+        ([-64, 32], [-64, 32], [-2, 1], "b"),  # -128 and 64: halved six times
+        ([0, 0], [0, 0], [0, 0], "b"),  # a row of zeros is stored as it is
+        ([64, 0], [64, -2], [64, -1], "b"),  # 128 overflows, and halving brings it back
+        ([3, -5], [-1, 4], [2, -1], "b"),  # borrows between lanes stay in them
+    ],
+)
+def test_lanewise_add_edge_cases(u, w, want, typecode):
+    out = combine(array("b", u), array("b", w), 1, -1, None, array("b"))
+    assert (list(out), out.typecode) == (want, typecode)
+    assert want == reference_combine(u, w, 1, -1, None)
 
 
 def test_hyperplane_without_stored_product_is_an_internal_error():
@@ -782,14 +873,14 @@ def test_stage_memory_proxy_counts_every_limb():
     stage of one-limb values in bulk, from its width.  The bound returned is
     the exact largest |x| after a scan, and a given one below 2^64 is
     trusted."""
-    stage = [[1, -2], [2**64, 3], [0, 0], [0, 7]]
+    stage = rows_view([[1, -2], [2**64, 3], [0, 0], [0, 7]])
     total = sum(vertex_bytes(v, 70) for v in stage)
     # With no bound given the values are read, and the bound is exact.
     assert stage_bytes(stage, 70, 0) == (total, 2**64) == (8 * (4 * 2 + 9), 2**64)
-    assert stage_bytes([[], []], 70, 0) == (8 * 2 * 2, 0)
+    assert stage_bytes(ValueRows(array("b"), 0, 2), 70, 0) == (8 * 2 * 2, 0)
     # The limb boundaries on both sides, as in `vertex_bytes`.
     for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        got = stage_bytes([[1, 0], [0, big]], 70, 0)
+        got = stage_bytes(rows_view([[1, 0], [0, big]]), 70, 0)
         assert got == (8 * (2 * 2 + 3 + limbs), abs(big)), big
     # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
     # no proof of one limb, and the values are read.
@@ -797,10 +888,10 @@ def test_stage_memory_proxy_counts_every_limb():
     assert stage_bytes(stage, 70, 2**64 - 1) == (8 * 4 * (2 + 2), 2**64 - 1)
     assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
     # The one-limb count is 8*|V|*(mask words + width): the vertices are not
-    # walked for it, and the width is read off the first row.
-    uniform = [[1, -2], [5, 3], [0, 0]]
+    # walked for it.
+    uniform = rows_view([[1, -2], [5, 3], [0, 0]])
     assert stage_bytes(uniform, 70, 0) == stage_bytes(uniform, 70, 5) == (8 * 3 * (2 + 2), 5)
-    assert stage_bytes([], 70, 0) == (0, 0)
+    assert stage_bytes(rows_view([]), 70, 0) == (0, 0)
 
 
 # The fixture runs that finish: every fixture filtered, and all but loop9
@@ -1048,17 +1139,17 @@ def test_recover_checks_every_inside_constraint(monkeypatch):
     assert check_against_reference(problem, [mask]) == 0
 
 
-def two_limb_cone(seed):
+def two_limb_cone(seed, bits=40):
     """A seeded cone on 9 coordinates.  Three sparse rows with coefficients
-    of 41 bits act on coordinates 0-5, so their combinations get values of
-    two limbs; the fourth row, positive on 0-5, then leaves only vertices on
-    6-8, and the fifth is small."""
+    of `bits` + 1 bits act on coordinates 0-5; at 41 bits their
+    combinations get values of two limbs.  The fourth row, positive on 0-5,
+    then leaves only vertices on 6-8, and the fifth is small."""
     rng = random.Random(seed)
     rows = []
     for _ in range(3):
         row = [0] * 9
         for j in rng.sample(range(6), 3):
-            row[j] = rng.choice([-1, 1]) * rng.randrange(1 << 40, 1 << 41)
+            row[j] = rng.choice([-1, 1]) * rng.randrange(1 << bits, 1 << (bits + 1))
         rows.append(tuple(row))
     rows.append((1,) * 6 + (0, 0, 0))
     rows.append((0,) * 6 + (1, 1, -1))
@@ -1087,9 +1178,9 @@ def check_stage_memory_proxy(problem, config):
             assert state.value_bound == top
         before, k = prev[-1], state.processed[-1]
         carried = hyperplane_values(before, k).count(0)  # S_0 leads V_i
-        if not two_limbs(before.vertices) and two_limbs(state.vertices[carried:]):
+        if not two_limbs(before.vertices) and two_limbs(list(state.vertices)[carried:]):
             seen.add("appear")
-        if two_limbs(state.vertices[:carried]):
+        if two_limbs(list(state.vertices)[:carried]):
             seen.add("carried")
         if two_limbs(before.vertices) and not two_limbs(state.vertices):
             seen.add("disappear")
@@ -1130,7 +1221,7 @@ def test_hand_built_state_gets_a_full_memory_scan():
     state = initial_state(problem, "inner")
     assert state.value_bound == 0
     after = step(state, 0)
-    assert after.vertices == [[2**70], [0]]
+    assert list(after.vertices) == [[2**70], [0]]
     assert [s.mem_bytes for s in after.stats.stages] == [8 * (2 * 1 + 2 + 1)]
     assert after.value_bound == 2**70
     trusted = initial_state(problem, "inner")
@@ -1138,6 +1229,78 @@ def test_hand_built_state_gets_a_full_memory_scan():
     after = step(trusted, 0)
     assert after.stats.stages[-1].mem_bytes == 8 * (2 * 1 + 1 + 1)
     assert after.value_bound == 2
+
+
+# The kinds of value store, narrowest first; None is the list past 'q'.
+KINDS = ["b", "h", "i", "q", None]
+
+
+def run_recording_kinds(problem, config):
+    """`run`, with the kind of store of V_0, V_1, ... (V_0 from
+    `init_vertices`, which `run` calls through the module)."""
+    kinds = [getattr(init_vertices(problem, config.representation)[1], "typecode", None)]
+    rays, stats = run(problem, config, stage_hook=lambda s: kinds.append(getattr(s.store, "typecode", None)))
+    return rays, stats, kinds
+
+
+def run_on_a_list_store(problem, config, monkeypatch):
+    """`run` with V_0 handed over as a list, the store past 'q', so that no
+    store is ever an array and every combination takes the list arithmetic."""
+    real = dd_engine.init_vertices
+
+    def as_list(problem, representation):
+        masks, store, bound = real(problem, representation)
+        return masks, list(store), bound
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dd_engine, "init_vertices", as_list)
+        return run(problem, config)
+
+
+def chain_cone(c, rows):
+    """c*x_j = x_{j+1} for j < `rows`: one ray, (1, c, c^2, ...)."""
+    equations = []
+    for j in range(rows):
+        row = [0] * (rows + 1)
+        row[j], row[j + 1] = c, -1
+        equations.append(sparse_row(row))
+    return EnumerationProblem(rows + 1, tuple(equations), ())
+
+
+def test_value_store_widens_through_every_kind(monkeypatch):
+    """Under `full` the chain's coordinates grow by 127 a stage, 127^11
+    at the end, and the store widens through every kind in order:
+    signed bytes, 16, 32 and 64 bits, then a list.  The run is the one a
+    list store from V_0 on gives, and the ray is the oracle's."""
+    problem = chain_cone(127, 11)
+    config = RunConfig(representation="full", ordering=parse_strategy("input"))
+    rays, stats, kinds = run_recording_kinds(problem, config)
+    assert list(dict.fromkeys(kinds)) == KINDS
+    assert coords_of(rays) == [tuple(127**j for j in range(12))] == coords_of(brute_force_rays(problem))
+    listed_rays, listed_stats = run_on_a_list_store(problem, config, monkeypatch)
+    assert (rays, stats.stages, stats.initial) == (listed_rays, listed_stats.stages, listed_stats.initial)
+
+
+@pytest.mark.parametrize("bits,widest", [(2, "b"), (3, "h"), (7, "i"), (15, "q"), (40, None)])
+def test_value_store_widening_changes_no_result(bits, widest, monkeypatch):
+    """`two_limb_cone` with its coefficients scaled so that the widest
+    value a `full` run stores fits in signed bytes, 16, 32 or 64 bits, or
+    in none of them.  Under both representations the store never
+    narrows, the memory proxy and the carried bound hold at every stage,
+    the rays and every `Stage` record are those of a run on a list store
+    from V_0 on, and the two representations give the oracle's rays."""
+    problem = two_limb_cone(10, bits)
+    want = coords_of(brute_force_rays(problem))
+    for representation in ("inner", "full"):
+        config = RunConfig(representation=representation, ordering=parse_strategy("input"))
+        rays, stats, kinds = run_recording_kinds(problem, config)
+        assert kinds == sorted(kinds, key=KINDS.index)
+        if representation == "full":
+            assert kinds[-1] == widest
+        assert coords_of(rays) == want
+        listed_rays, listed_stats = run_on_a_list_store(problem, config, monkeypatch)
+        assert (rays, stats.stages, stats.initial) == (listed_rays, listed_stats.stages, listed_stats.initial)
+        check_stage_memory_proxy(problem, config)
 
 
 stored = st.one_of(
@@ -1375,7 +1538,7 @@ def reference_step(state, k):
     need = prefilter_need(cfg.dim_prefilter, len(state.processed), state.sep, problem.dim)
     masks = state.masks
     out_masks, out_rows, pos, neg = [], [], [], []
-    for mask, row, t in zip(masks, state.vertices, values):
+    for mask, row, t in zip(masks, list(state.vertices), values):
         if t == 0:
             out_masks.append(mask)
             out_rows.append(row if drop is None else row[:drop] + row[drop + 1:])
@@ -1395,7 +1558,7 @@ def reference_step(state, k):
             verdicts.append((inter.bit_count(), adjacent))
             if adjacent:
                 out_masks.append(inter)
-                out_rows.append(combine(u, w, a, b, drop, inter))
+                out_rows.append(reference_combine(u, w, a, b, drop))
     return (out_masks, out_rows), len(pos) * len(neg), compatible_pairs, verdicts
 
 
@@ -1432,7 +1595,7 @@ def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, represe
         heard = []
         audited = step(replace(state, stats=RunStats()), k, pair_audit=lambda *a: heard.append(a[2:]))
         state = step(state, k)
-        assert (state.masks, state.vertices) == (audited.masks, audited.vertices) == want
+        assert (state.masks, list(state.vertices)) == (audited.masks, list(audited.vertices)) == want
         last = state.stats.stages[-1]
         assert audited.stats.stages == [last]
         assert [last.pairs, last.compatible] == [pairs, compatible_pairs]
@@ -1453,7 +1616,7 @@ def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
         want, _, compatible_pairs, verdicts = reference_step(state, k)
         heard = []
         state = step(state, k, pair_audit=lambda *a: heard.append(a[2:]))
-        assert (state.masks, state.vertices) == want
+        assert (state.masks, list(state.vertices)) == want
         assert heard == verdicts and len(heard) == compatible_pairs
     assert sum(s.bulk for s in state.stats.stages) > 0
 
@@ -1545,7 +1708,7 @@ def sparse_stage(prefilter):
     problem = EnumerationProblem(dim, (sparse_row((0,) * dim),) * 2, ())
     config = RunConfig(dim_prefilter=prefilter, filtering=False)
     # sep 19: the extended prefilter asks for 15 common zeros, about the mean.
-    return EngineState(problem, config, masks, rows, [], [0, 1], 19, RunStats())
+    return EngineState(problem, config, masks, store_of(rows), [], [0, 1], 19, RunStats())
 
 
 @pytest.mark.parametrize("prefilter", ["off", "extended"])
@@ -1558,7 +1721,7 @@ def test_walk_jumps_empty_chunks_exactly(prefilter):
     want, _, _, verdicts = reference_step(state, 0)
     heard = []
     after = step(state, 0, pair_audit=lambda *a: heard.append(a[2:]))
-    assert (after.masks, after.vertices) == want
+    assert (after.masks, list(after.vertices)) == want
     assert heard == verdicts
     stage = after.stats.stages[-1]
     assert (stage.s_pos, stage.s_neg) == (44, len(SPARSE_NEGATIVES))
