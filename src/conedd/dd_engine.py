@@ -66,22 +66,9 @@ groups, so they are built once per run and handed from state to state.
 
 Each step appends one `Stage` record to `RunStats.stages`, with the
 compatible, bulk-removed and tested pairs next to |S_0|, |S_+|, |S_-|,
-|V_i| and the memory proxy.  The pairs of S_+ x S_-, the adjacent pairs and
-`RunStats`'s run-wide figures are derived from the records.
-
-The memory proxy (`stage_bytes`) counts 8 bytes per mask word and per
-64-bit limb of every stored value.  Every vertex of a stage stores as many
-values, d under `full` and one per unprocessed hyperplane under `inner`, so
-the count takes that width from the state and walks no vertex of V_i.  It
-reads no value while a carried bound says they all fit in one limb:
-`EngineState.value_bound` bounds |x| over the stored values of V_i.  S_0
-keeps values of V_{i-1} (less one entry under `inner`), and a combination
-a*w - b*u is at most (a - b) times the bound of V_{i-1}, where a - b is at
-most the spread max - min of the stage's hyperplane values, so `step`
-multiplies the bound by that spread.  Only when that product reaches 2^64
-does a scan of V_i reset it to the exact maximum: 111 of the 7,680 stages
-of a census8 pass (seed 1).  V_0's bound is its largest |coefficient|, read
-off the equations (1 under `full`), so no V_0 is scanned.
+|V_i| and the bytes V_i holds (`stage_bytes`).  The pairs of S_+ x S_-, the
+adjacent pairs and `RunStats`'s run-wide figures are derived from the
+records.
 """
 
 from __future__ import annotations
@@ -92,7 +79,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, and_
+from operator import add, and_, attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .cone_problem import EnumerationProblem
@@ -142,7 +129,8 @@ class Stage(NamedTuple):
     adjacent with no index query (see `step`; 0 under `alg`), so `tested -
     certified` witness queries were made.
     `sep` is the pseudo-separating stage count after this stage, `size` is
-    |V_i| and `mem_bytes` the memory proxy of V_i (`stage_bytes`)."""
+    |V_i| and `mem_bytes` the bytes V_i holds in its masks and value store
+    (`stage_bytes`)."""
 
     hyperplane: int
     s0: int
@@ -169,9 +157,9 @@ class Stage(NamedTuple):
 
 @dataclass
 class RunStats:
-    """One `Stage` per processed hyperplane, plus |V_0| and its memory proxy
-    in `initial`.  The other per-run figures are read-only views over
-    these."""
+    """One `Stage` per processed hyperplane, plus |V_0| and the bytes V_0
+    holds (`stage_bytes`) in `initial`.  The other per-run figures are
+    read-only views over these."""
 
     initial: tuple[int, int] = (0, 0)
     stages: list[Stage] = field(default_factory=list)
@@ -257,13 +245,9 @@ class EngineState:
     largest stage, 1,585 rows of 10 values, takes 15.5 KiB, where a list
     a row took about 228 KiB.
 
-    `value_bound` is an upper bound on |x| over every stored value,
-    carried from stage to stage so that the memory proxy need not read the
-    values (see `stage_bytes`); 0, the default, means unknown, and the
-    bound is exact right after a scan.  `group_table` is the group filter's
-    `GroupTable`, of the problem's groups with filtering on and empty with
-    it off; it is built with the first state of a run and handed on by
-    `step`."""
+    `group_table` is the group filter's `GroupTable`, of the problem's
+    groups with filtering on and empty with it off; it is built with the
+    first state of a run and handed on by `step`."""
 
     problem: EnumerationProblem
     config: RunConfig
@@ -273,7 +257,6 @@ class EngineState:
     remaining: list[int]
     sep: int
     stats: RunStats
-    value_bound: int = 0
     group_table: Optional[GroupTable] = None
 
     def __post_init__(self) -> None:
@@ -293,7 +276,6 @@ class EngineState:
 # Pair audit callback: (processed_count, sep_before, zero_count, adjacent).
 PairAudit = Callable[[int, int, int, bool], None]
 
-_ONE_LIMB = 1 << 64
 # Partner bitsets span V_{i-1}; they are walked 30 bits at a time, so that
 # the bit tricks run on one-digit ints (CPython's digit is 30 bits).
 _CHUNK_BITS = 30
@@ -305,31 +287,15 @@ _SUPERSETS = [bytes(b"01"[v & b == b] for v in range(256)) for b in range(256)]
 _DISJOINT = [table[::-1] for table in _SUPERSETS]
 
 
-def vertex_bytes(values: list[int], dim: int) -> int:
-    """Logical size of a stored vertex, given its value row: 8 bytes per
-    mask word and per 64-bit limb of each stored value."""
-    if not values or (-_ONE_LIMB < min(values) and max(values) < _ONE_LIMB):
-        limbs = len(values)
+def stage_bytes(masks: Sequence[int], store: Store, dim: int) -> int:
+    """The bytes a stage holds: (dim + 7) // 8 a zero-set mask, plus its
+    value store, `itemsize` bytes a value for an `array`, which reads no
+    value, and 8 bytes per 64-bit limb of each value for a list."""
+    if type(store) is array:
+        values = len(store) * store.itemsize
     else:
-        limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
-    return 8 * ((dim + 63) // 64 + limbs)
-
-
-def stage_bytes(rows: ValueRows, dim: int, bound: int) -> tuple[int, int]:
-    """The memory proxy of a stage, given its value rows, `vertex_bytes`
-    summed in bulk, and an upper bound on |x| over its stored values.
-
-    `bound` is such a bound, or 0 for unknown.  Below 2^64 every value fits
-    in one limb, none is read and the count is 8*|V|*(mask words + width).
-    Otherwise one scan of the store, a `min` and a `max`, gives the exact
-    bound; when it needs two limbs, `vertex_bytes` is summed over every
-    vertex."""
-    if not 0 < bound < _ONE_LIMB:
-        store = rows.store
-        bound = max(max(store), -min(store)) if store else 0
-        if bound >= _ONE_LIMB:
-            return sum(vertex_bytes(v, dim) for v in rows), bound
-    return 8 * len(rows) * ((dim + 63) // 64 + rows.width), bound
+        values = 8 * sum((abs(x).bit_length() + 63) // 64 or 1 for x in store)
+    return len(masks) * ((dim + 7) // 8) + values
 
 
 # The next wider typecode of a value store; 'q' widens to a list.
@@ -355,20 +321,20 @@ def _append(store: Store, values: list[int]) -> Store:
     return store
 
 
-def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[list[int], Store, int]:
+def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[list[int], Store]:
     """V_0, the d unit rays in the requested representation: their zero
-    sets, their value store and the largest |x| it holds.
+    sets and their value store.
 
-    Under `full` the store holds the d unit rows, and the bound is 1.  Under
-    `inner` row j holds column j of the equations, so the bound is the
-    largest |coefficient|, and the store is the narrowest that holds it."""
+    Under `full` the store holds the d unit rows, as signed bytes.  Under
+    `inner` row j holds column j of the equations, in the narrowest store
+    that holds the largest |coefficient|."""
     d = problem.dim
     full_bits = (1 << d) - 1
     masks = [full_bits ^ (1 << j) for j in range(d)]
     if representation == "full":
         store = array("b", bytes(d * d))
         store[:: d + 1] = array("b", b"\x01" * d)
-        return masks, store, 1
+        return masks, store
     g = len(problem.equations)
     bound = max((abs(x) for row in problem.equations for x in row.values()), default=0)
     store = array("b", bytes(d * g))
@@ -377,7 +343,7 @@ def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[lis
     for k, row in enumerate(problem.equations):
         for j, x in row.items():
             store[j * g + k] = x
-    return masks, store, bound
+    return masks, store
 
 
 def _position(state: EngineState, k: int) -> int:
@@ -590,9 +556,7 @@ def combine(u: Store, w: Store, a: int, b: int, mask: Optional[int], out: Store)
     as does a row of zeros (the last `inner` stage's, whose only value is
     the processed one).  Every other row (a lane overflowed, no value is
     +-1, or wider values) is built as a list, checked for +-1 and
-    normalised by `vector_gcd`.  Each value is at most (a - b) times the
-    largest |x| of u and w, which is how `step` carries
-    `EngineState.value_bound`.
+    normalised by `vector_gcd`.
     """
     if a <= 0 or b >= 0:
         raise InternalError("combine requires u on the positive side and w on the negative side")
@@ -692,12 +656,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     With filtering on this always holds: the unit rays have one non-zero
     each, S_0 carries over, and only compatible pairs are combined.
 
-    The memory proxy of V_i reads no value while the carried bound stays
-    below 2^64: S_0 keeps values of V_{i-1}, bounded by `state.value_bound`,
-    and a combination of u and w is bounded by (a - b) times it, so the bound
-    of V_i is `state.value_bound` times `grow`, the spread max - min of the
-    hyperplane's values, at least every a - b (see `stage_bytes`).  The
-    step's counts go into one `Stage`, appended to `state.stats`.
+    The step's counts and the bytes V_i holds (`stage_bytes`) go into one
+    `Stage`, appended to `state.stats`.
     """
     problem, cfg = state.problem, state.config
     d = problem.dim
@@ -727,7 +687,6 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     out += store[start * width :]
 
     carried = len(new_masks)
-    grow = 1  # bounds the a - b of every combination; 1 while none is formed
     compatible_count = 0
     tested = 0
     bulk = 0
@@ -735,7 +694,6 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     if s_pos and s_neg:
         if len(set(masks)) != len(masks):
             raise InternalError(f"two vertices share a zero set before hyperplane {k}")
-        grow = max(values) - min(values)
         containing, avoiding = zero_index(masks)
         partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
@@ -808,16 +766,14 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         width -= 1
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     remaining = state.remaining[:position] + state.remaining[position + 1:]
-    new_rows = ValueRows(out, width, len(new_masks))
-    mem_bytes, bound = stage_bytes(new_rows, d, state.value_bound * grow)
     stats = state.stats
     stats.stages.append(Stage(
         k, carried, len(s_pos), s_neg.bit_count(), compatible_count,
-        tested, bulk, certified, sep, len(new_masks), mem_bytes,
+        tested, bulk, certified, sep, len(new_masks), stage_bytes(new_masks, out, d),
     ))
     processed = state.processed + [k]
     return EngineState(
-        problem, cfg, new_masks, out, processed, remaining, sep, stats, bound, state.group_table,
+        problem, cfg, new_masks, out, processed, remaining, sep, stats, state.group_table,
     )
 
 
@@ -1002,8 +958,10 @@ def run(
     """Enumerate the extreme rays of the problem cone.
 
     Returns the final rays (admissible ones only when filtering is on),
-    gcd-normalized, deduplicated and sorted lexicographically, together with
-    the per-stage statistics.  Under `inner` the coordinates come from the
+    gcd-normalized and sorted lexicographically, together with the
+    per-stage statistics.  Distinct extreme rays have distinct zero sets,
+    so the final vertices give one ray each; two with one zero set raise
+    `InternalError`.  Under `inner` the coordinates come from the
     `final_recovery_kernel` of the final zero sets and one `recover` call
     per final vertex; `nullspace_generator` is called only inside those.
     """
@@ -1011,13 +969,11 @@ def run(
         config = RunConfig()
     start = time.perf_counter()
     d = problem.dim
-    masks, store, bound = init_vertices(problem, config.representation)
+    masks, store = init_vertices(problem, config.representation)
     remaining = list(range(len(problem.equations)))
-    state = EngineState(problem, config, masks, store, [], remaining, 0, RunStats(), bound)
+    stats = RunStats(initial=(d, stage_bytes(masks, store, d)))
+    state = EngineState(problem, config, masks, store, [], remaining, 0, stats)
     del masks, store  # V_0 is freed with the first stage, not held to the end
-    mem_bytes, state.value_bound = stage_bytes(state.vertices, d, bound)
-    stats = state.stats
-    stats.initial = (d, mem_bytes)
 
     # Config and problem are validated by now: a ValueError from here on is
     # a broken invariant (say, a recovery order that is not a permutation of
@@ -1033,16 +989,18 @@ def run(
             if stage_hook is not None:
                 stage_hook(state)
 
+        if len(set(state.masks)) != len(state.masks):
+            raise InternalError("two final vertices share a zero set")
         if config.representation == "inner":
             kernel = final_recovery_kernel(problem, state.masks)
-            finals = [recover(problem, mask, kernel) for mask in state.masks]
+            rays = [recover(problem, mask, kernel) for mask in state.masks]
         else:
-            finals = [Ray(tuple(v)) for v in state.vertices]
+            rays = [Ray(tuple(v)) for v in state.vertices]
     except LimitError:
         raise
     except ValueError as exc:
         raise InternalError(f"invariant failed during the run: {exc}") from exc
-    rays = [Ray(c) for c in sorted({r.coords for r in finals})]
+    rays.sort(key=attrgetter("coords"))
 
     stats.elapsed_s = time.perf_counter() - start
     stats.final_count = len(rays)

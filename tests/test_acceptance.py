@@ -278,7 +278,8 @@ def test_census_like_work_counters_are_pinned():
     """Every `Stage` field summed over 20 seeded random closed triangulations
     of 8 tetrahedra, the size of the census8 benchmark's instances, under
     the default configuration: any change to the pair work, the stage
-    bookkeeping or the memory proxy on census-size instances moves a sum."""
+    bookkeeping or the bytes a stage holds on census-size instances moves a
+    sum."""
     rng = random.Random(20102)
     sums = dict.fromkeys(Stage._fields, 0)
     rays = initial = 0
@@ -289,11 +290,11 @@ def test_census_like_work_counters_are_pinned():
         for stage in stats.stages:
             for name in Stage._fields:
                 sums[name] += getattr(stage, name)
-    assert (rays, initial) == (55, 439_040)
+    assert (rays, initial) == (55, 61_600)
     assert sums == dict(
         hyperplane=22_560, s0=40_999, s_pos=9_587, s_neg=17_355, compatible=94_162,
         tested=40_528, bulk=49_235, certified=18_224, sep=22_359, size=66_876,
-        mem_bytes=15_565_912,
+        mem_bytes=2_346_995,
     )
 
 

@@ -34,7 +34,6 @@ from conedd.dd_engine import (
     run,
     stage_bytes,
     step,
-    vertex_bytes,
     zero_index,
     zero_mask,
 )
@@ -62,10 +61,9 @@ def bits_of(indices):
 
 
 def initial_state(problem, representation, **options):
-    """V_0 as `run` builds it, before any hyperplane is processed; its value
-    bound is left unknown (0)."""
+    """V_0 as `run` builds it, before any hyperplane is processed."""
     config = RunConfig(representation=representation, **options)
-    masks, store, _ = init_vertices(problem, representation)
+    masks, store = init_vertices(problem, representation)
     g = len(problem.equations)
     return EngineState(problem, config, masks, store, [], list(range(g)), 0, RunStats())
 
@@ -77,21 +75,16 @@ def store_of(rows):
     return array("b", flat) if all(-128 <= x < 128 for x in flat) else flat
 
 
-def rows_view(rows):
-    """`rows`, of one length, as the `ValueRows` of their value store."""
-    return ValueRows(store_of(rows), len(rows[0]) if rows else 0, len(rows))
-
-
 def test_init_vertices_full():
-    masks, store, bound = init_vertices(GIESEKING, "full")
+    masks, store = init_vertices(GIESEKING, "full")
     rows = list(ValueRows(store, 7, 7))
     assert rows == [[1 if i == j else 0 for i in range(7)] for j in range(7)]
     assert masks == [zero_mask(row) for row in rows]
-    assert (store.typecode, bound) == ("b", 1)
+    assert store.typecode == "b"
 
 
 def test_init_vertices_inner():
-    masks, store, bound = init_vertices(GIESEKING, "inner")
+    masks, store = init_vertices(GIESEKING, "inner")
     rows = list(ValueRows(store, 5, 7))
     assert len(masks) == len(rows) == 7
     for j, (mask, row) in enumerate(zip(masks, rows)):
@@ -99,9 +92,6 @@ def test_init_vertices_inner():
         assert mask == ((1 << 7) - 1) ^ (1 << j)
     # Column 0 of the fixture: only the last equation touches coordinate 0.
     assert rows[0] == [0, 0, 0, 0, 1]
-    # The bound is read off the coefficients, and it is what a scan finds.
-    scanned = stage_bytes(ValueRows(store, 5, 7), 7, 0)[1]
-    assert bound == max(max(max(row), -min(row)) for row in rows) == scanned
     assert store.typecode == "b"
 
 
@@ -110,8 +100,7 @@ def test_init_vertices_takes_the_narrowest_store(top, typecode):
     """V_0's store is the narrowest that holds its largest |coefficient|, a
     list past 'q'; the rows read back the same."""
     problem = EnumerationProblem(3, (sparse_row((1, -top, 0)), sparse_row((0, 2, 3))), ())
-    masks, store, bound = init_vertices(problem, "inner")
-    assert bound == top
+    masks, store = init_vertices(problem, "inner")
     assert getattr(store, "typecode", None) == typecode
     assert list(ValueRows(store, 2, 3)) == [[1, 0], [-top, 2], [0, 3]]
 
@@ -498,7 +487,7 @@ def combined(u, w, a, b, mask=None):
 
 
 def test_combine_full():
-    masks, store, _ = init_vertices(GIESEKING, "full")
+    masks, store = init_vertices(GIESEKING, "full")
     e5, e6 = row_of(store, 7, 5), row_of(store, 7, 6)
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
     common = masks[6] & masks[5]
@@ -509,8 +498,8 @@ def test_combine_full():
 
 
 def test_combine_inner():
-    masks, full, _ = init_vertices(GIESEKING, "full")
-    _, inner, _ = init_vertices(GIESEKING, "inner")
+    masks, full = init_vertices(GIESEKING, "full")
+    _, inner = init_vertices(GIESEKING, "inner")
     common = masks[6] & masks[5]
     rf = combined(row_of(full, 7, 6), row_of(full, 7, 5), 1, -1, common)
     # The products of the combined coordinates with every row; the
@@ -521,7 +510,7 @@ def test_combine_inner():
 
 
 def test_combine_requires_opposite_sides():
-    masks, store, _ = init_vertices(GIESEKING, "full")
+    masks, store = init_vertices(GIESEKING, "full")
     e5, e6 = row_of(store, 7, 5), row_of(store, 7, 6)
     common = masks[5] & masks[6]
     with pytest.raises(InternalError):
@@ -704,7 +693,7 @@ def test_gieseking_default_run():
     assert [s.hyperplane for s in stats.stages] == [0, 1, 2, 3, 4]
     assert stats.max_vertex_count == 7
     assert stats.final_count == 1
-    assert stats.peak_mem_bytes == stats.initial[1] == 336  # V_0: 7 masks, 5 products each
+    assert stats.peak_mem_bytes == stats.initial[1] == 42  # V_0: 7 one-byte masks, 5 byte products each
 
 
 def test_gieseking_unfiltered_run():
@@ -817,6 +806,21 @@ def test_stage_hook_called_per_hyperplane():
     assert stages == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("representation", ["inner", "full"])
+def test_run_refuses_two_final_vertices_with_one_zero_set(representation):
+    """Distinct extreme rays have distinct zero sets, so `run` keeps every
+    final vertex as it is, and a copy of one is a broken invariant that
+    raises `InternalError`, not a ray output once."""
+
+    def copy_first(state):
+        if not state.remaining:  # the last stage
+            state.masks.append(state.masks[0])
+            state.store += state.store[: state.width]
+
+    with pytest.raises(InternalError, match="two final vertices share a zero set"):
+        run(GIESEKING, RunConfig(representation=representation), stage_hook=copy_first)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(adjacency="bogus")
@@ -850,48 +854,17 @@ def test_recover_errors():
         recover(p, 0)  # nullity 2 again, on other columns
 
 
-def test_vertex_bytes():
-    assert vertex_bytes([1] * 7, 7) == 8 + 7 * 8  # one mask word + seven 1-limb values
-    assert vertex_bytes([2**100, 1, 0], 3) == 8 + (2 + 1 + 1) * 8
-    assert vertex_bytes([1, -1], 7) == 8 + 2 * 8  # inner: two stored products
-    assert vertex_bytes([], 7) == 8  # inner after the last stage
-    # Limb boundaries on both sides of the fast path's range.
-    assert vertex_bytes([2**64 - 1, -(2**64 - 1)], 7) == 8 + 2 * 8
-    assert vertex_bytes([2**64, 0], 7) == 8 + 3 * 8
-    assert vertex_bytes([-(2**64), 0], 7) == 8 + 3 * 8
-
-
-def test_words_counts_64_bit_blocks():
-    """The memory proxy charges a mask by 64-bit words of the dimension."""
-    assert vertex_bytes([], 7) == 8
-    assert vertex_bytes([], 64) == 8
-    assert vertex_bytes([], 130) == 3 * 8
-
-
-def test_stage_memory_proxy_counts_every_limb():
-    """A stage holding a value of two limbs is summed vertex by vertex; a
-    stage of one-limb values in bulk, from its width.  The bound returned is
-    the exact largest |x| after a scan, and a given one below 2^64 is
-    trusted."""
-    stage = rows_view([[1, -2], [2**64, 3], [0, 0], [0, 7]])
-    total = sum(vertex_bytes(v, 70) for v in stage)
-    # With no bound given the values are read, and the bound is exact.
-    assert stage_bytes(stage, 70, 0) == (total, 2**64) == (8 * (4 * 2 + 9), 2**64)
-    assert stage_bytes(ValueRows(array("b"), 0, 2), 70, 0) == (8 * 2 * 2, 0)
-    # The limb boundaries on both sides, as in `vertex_bytes`.
-    for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2)):
-        got = stage_bytes(rows_view([[1, 0], [0, big]]), 70, 0)
-        assert got == (8 * (2 * 2 + 3 + limbs), abs(big)), big
-    # A bound below 2^64 is trusted and nothing is read; from 2^64 on it is
-    # no proof of one limb, and the values are read.
-    assert stage_bytes(stage, 70, 3) == (8 * 4 * (2 + 2), 3)
-    assert stage_bytes(stage, 70, 2**64 - 1) == (8 * 4 * (2 + 2), 2**64 - 1)
-    assert stage_bytes(stage, 70, 2**64) == (total, 2**64)
-    # The one-limb count is 8*|V|*(mask words + width): the vertices are not
-    # walked for it.
-    uniform = rows_view([[1, -2], [5, 3], [0, 0]])
-    assert stage_bytes(uniform, 70, 0) == stage_bytes(uniform, 70, 5) == (8 * 3 * (2 + 2), 5)
-    assert stage_bytes(rows_view([]), 70, 0) == (0, 0)
+def test_stage_bytes_counts_what_the_store_holds():
+    """(d + 7) // 8 bytes a mask, plus the value store: `itemsize` bytes a
+    value of an array, and 8 bytes per 64-bit limb of each value of a list,
+    0 taking one limb."""
+    masks = [3, 5, 6]
+    for code, size in (("b", 1), ("h", 2), ("i", 4), ("q", 8)):
+        assert stage_bytes(masks, array(code, [1, -2, 0, 7]), 70) == 3 * 9 + 4 * size
+    assert stage_bytes(masks, array("b"), 64) == 3 * 8  # inner after the last stage
+    for big, limbs in ((2**64 - 1, 1), (-(2**64 - 1), 1), (2**64, 2), (-(2**64), 2), (2**128, 3)):
+        assert stage_bytes(masks, [0, -1, big], 70) == 3 * 9 + 8 * (2 + limbs), big
+    assert stage_bytes([], [], 70) == 0
 
 
 # The fixture runs that finish: every fixture filtered, and all but loop9
@@ -1156,79 +1129,56 @@ def two_limb_cone(seed, bits=40):
     return EnumerationProblem(9, tuple(map(sparse_row, rows)), ())
 
 
-def check_stage_memory_proxy(problem, config):
-    """Run with a `stage_hook` that recomputes the memory proxy of every
-    stage from `vertex_bytes` and checks the carried value bound: at least
-    the largest |x| stored, and equal to it from 2^64 on, where only a scan
-    can have set it.  Returns the transitions of two-limb values seen:
-    "appear" (a new vertex has one while V_{i-1} had none), "carried" (an
-    S_0 vertex has one) and "disappear" (V_{i-1} had one, V_i has none)."""
-    seen = set()
-    prev = [initial_state(problem, config.representation)]  # V_0, as `run` builds it
+def recounted_bytes(masks, store, dim):
+    """The bytes a stage holds, recounted from its masks and value store:
+    whole bytes of the dimension a mask, and each value as its array item,
+    or, in a list, as 8 bytes per 64-bit limb."""
+    if isinstance(store, array):
+        values = len(store.tobytes())
+    else:
+        values = sum(8 * max(1, -(-abs(x).bit_length() // 64)) for x in store)
+    return len(masks) * -(-dim // 8) + values
 
-    def two_limbs(vertices):
-        return any(not -(2**64) < x < 2**64 for v in vertices for x in v)
+
+def check_stage_bytes(problem, config):
+    """Run with a `stage_hook` that checks every `Stage.mem_bytes`, and
+    `RunStats.initial`'s figure for V_0, against `recounted_bytes`.
+    Returns the kinds of store the stages held (a typecode, None for a
+    list) and the largest |x| they stored."""
+    d = problem.dim
+    kinds = set()
+    top = 0
 
     def hook(state):
-        d = problem.dim
-        assert state.stats.stages[-1].mem_bytes == sum(vertex_bytes(v, d) for v in state.vertices)
-        top = max((abs(x) for v in state.vertices for x in v), default=0)
-        assert state.value_bound >= top
-        if state.value_bound >= 2**64:
-            assert state.value_bound == top
-        before, k = prev[-1], state.processed[-1]
-        carried = hyperplane_values(before, k).count(0)  # S_0 leads V_i
-        if not two_limbs(before.vertices) and two_limbs(list(state.vertices)[carried:]):
-            seen.add("appear")
-        if two_limbs(list(state.vertices)[:carried]):
-            seen.add("carried")
-        if two_limbs(before.vertices) and not two_limbs(state.vertices):
-            seen.add("disappear")
-        prev.append(state)
+        nonlocal top
+        assert state.stats.stages[-1].mem_bytes == recounted_bytes(state.masks, state.store, d)
+        kinds.add(getattr(state.store, "typecode", None))
+        top = max(top, max(map(abs, state.store), default=0))
 
     _, stats = run(problem, config, stage_hook=hook)
-    assert len(prev) == len(problem.equations) + 1
-    assert stats.initial[1] == sum(vertex_bytes(v, problem.dim) for v in prev[0].vertices)
-    return seen
+    assert len(stats.stages) == len(problem.equations)
+    assert stats.initial[1] == recounted_bytes(*init_vertices(problem, config.representation), d)
+    return kinds, top
 
 
 @pytest.mark.parametrize("representation", ["inner", "full"])
 @pytest.mark.parametrize("name,filtering", FIXTURE_RUNS)
 def test_stage_memory_proxy_equals_a_full_recount(name, filtering, representation):
-    """The proxy of every stage, which reads no value while the carried bound
-    stays below 2^64, equals the sum of `vertex_bytes`, and the bound holds."""
+    """The figure of V_0 and of every stage equals a recount of the bytes
+    its masks and value store hold; every fixture's values fit in signed
+    bytes, so it is the array branch, which reads no value."""
     config = RunConfig(representation=representation, filtering=filtering)
-    assert check_stage_memory_proxy(problem_named(name), config) == set()
+    assert check_stage_bytes(problem_named(name), config)[0] == {"b"}
 
 
 @pytest.mark.parametrize("representation", ["inner", "full"])
 def test_stage_memory_proxy_follows_two_limb_values(representation):
-    """Two-limb values appear in new combinations, are carried in S_0 and
-    disappear again, so `stage_bytes` sums `vertex_bytes` and counts in bulk
-    again after a scan, with the bound checked at every stage."""
+    """`two_limb_cone` stores values of two 64-bit limbs, so its store
+    becomes a list, whose figure counts the limbs of every value; the
+    recount holds at every stage."""
     config = RunConfig(representation=representation, ordering=parse_strategy("input"))
-    assert check_stage_memory_proxy(two_limb_cone(10), config) == {"appear", "carried", "disappear"}
-
-
-def test_hand_built_state_gets_a_full_memory_scan():
-    """A state built without a bound (0, unknown) is read in full: the S_0
-    vertex e_2 keeps its two-limb product with the second row, and the scan
-    sets the exact bound.  A small bound is trusted and no value is read,
-    which is what the bound is for: claiming 1 for V_0 counts that product
-    as one limb, and the bound of V_1 is 1 times max - min = 2 of the
-    hyperplane's values."""
-    problem = EnumerationProblem(3, (sparse_row((1, -1, 0)), sparse_row((0, 0, 2**70))), ())
-    state = initial_state(problem, "inner")
-    assert state.value_bound == 0
-    after = step(state, 0)
-    assert list(after.vertices) == [[2**70], [0]]
-    assert [s.mem_bytes for s in after.stats.stages] == [8 * (2 * 1 + 2 + 1)]
-    assert after.value_bound == 2**70
-    trusted = initial_state(problem, "inner")
-    trusted.value_bound = 1
-    after = step(trusted, 0)
-    assert after.stats.stages[-1].mem_bytes == 8 * (2 * 1 + 1 + 1)
-    assert after.value_bound == 2
+    kinds, top = check_stage_bytes(two_limb_cone(10), config)
+    assert None in kinds and top >= 2**64
 
 
 # The kinds of value store, narrowest first; None is the list past 'q'.
@@ -1249,12 +1199,28 @@ def run_on_a_list_store(problem, config, monkeypatch):
     real = dd_engine.init_vertices
 
     def as_list(problem, representation):
-        masks, store, bound = real(problem, representation)
-        return masks, list(store), bound
+        masks, store = real(problem, representation)
+        return masks, list(store)
 
     with monkeypatch.context() as patch:
         patch.setattr(dd_engine, "init_vertices", as_list)
         return run(problem, config)
+
+
+def assert_same_run_as_on_a_list_store(rays, stats, listed):
+    """`rays` and `stats` against `listed`, the same run on a list store:
+    the same rays and `Stage` records save `mem_bytes`, which follows the
+    kind of store.  A list charges at least 8 bytes a value and an array at
+    most 8, so the list's figure is at least as large, V_0's too."""
+    listed_rays, listed_stats = listed
+    assert rays == listed_rays
+    assert [s._replace(mem_bytes=0) for s in stats.stages] == [
+        s._replace(mem_bytes=0) for s in listed_stats.stages
+    ]
+    assert stats.initial[0] == listed_stats.initial[0]
+    figures = [stats.initial[1], *(s.mem_bytes for s in stats.stages)]
+    listed_figures = [listed_stats.initial[1], *(s.mem_bytes for s in listed_stats.stages)]
+    assert all(x <= y for x, y in zip(figures, listed_figures, strict=True))
 
 
 def chain_cone(c, rows):
@@ -1271,14 +1237,14 @@ def test_value_store_widens_through_every_kind(monkeypatch):
     """Under `full` the chain's coordinates grow by 127 a stage, 127^11
     at the end, and the store widens through every kind in order:
     signed bytes, 16, 32 and 64 bits, then a list.  The run is the one a
-    list store from V_0 on gives, and the ray is the oracle's."""
+    list store from V_0 on gives, save the bytes held, and the ray is the
+    oracle's."""
     problem = chain_cone(127, 11)
     config = RunConfig(representation="full", ordering=parse_strategy("input"))
     rays, stats, kinds = run_recording_kinds(problem, config)
     assert list(dict.fromkeys(kinds)) == KINDS
     assert coords_of(rays) == [tuple(127**j for j in range(12))] == coords_of(brute_force_rays(problem))
-    listed_rays, listed_stats = run_on_a_list_store(problem, config, monkeypatch)
-    assert (rays, stats.stages, stats.initial) == (listed_rays, listed_stats.stages, listed_stats.initial)
+    assert_same_run_as_on_a_list_store(rays, stats, run_on_a_list_store(problem, config, monkeypatch))
 
 
 @pytest.mark.parametrize("bits,widest", [(2, "b"), (3, "h"), (7, "i"), (15, "q"), (40, None)])
@@ -1286,8 +1252,8 @@ def test_value_store_widening_changes_no_result(bits, widest, monkeypatch):
     """`two_limb_cone` with its coefficients scaled so that the widest
     value a `full` run stores fits in signed bytes, 16, 32 or 64 bits, or
     in none of them.  Under both representations the store never
-    narrows, the memory proxy and the carried bound hold at every stage,
-    the rays and every `Stage` record are those of a run on a list store
+    narrows, the bytes held equal a recount at every stage, the rays and
+    every `Stage` record save the bytes are those of a run on a list store
     from V_0 on, and the two representations give the oracle's rays."""
     problem = two_limb_cone(10, bits)
     want = coords_of(brute_force_rays(problem))
@@ -1298,23 +1264,8 @@ def test_value_store_widening_changes_no_result(bits, widest, monkeypatch):
         if representation == "full":
             assert kinds[-1] == widest
         assert coords_of(rays) == want
-        listed_rays, listed_stats = run_on_a_list_store(problem, config, monkeypatch)
-        assert (rays, stats.stages, stats.initial) == (listed_rays, listed_stats.stages, listed_stats.initial)
-        check_stage_memory_proxy(problem, config)
-
-
-stored = st.one_of(
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.integers(min_value=2**64 - 2, max_value=2**64 + 1),
-    st.integers(min_value=-(2**64) - 1, max_value=-(2**64) + 2),
-    st.integers(min_value=-(2**200), max_value=2**200),
-)
-
-
-@given(st.lists(stored, max_size=6), st.integers(min_value=1, max_value=200))
-def test_vertex_bytes_counts_every_limb(values, dim):
-    limbs = sum(max(1, (abs(x).bit_length() + 63) // 64) for x in values)
-    assert vertex_bytes(values, dim) == 8 * ((dim + 63) // 64 + limbs)
+        assert_same_run_as_on_a_list_store(rays, stats, run_on_a_list_store(problem, config, monkeypatch))
+        check_stage_bytes(problem, config)
 
 
 LOOP9 = standard_matching_equations(parse_triangulation((FIXTURES / "loop9.tri").read_text()))
@@ -1327,10 +1278,11 @@ def totals(stats):
     return {name: sum(getattr(s, name) for s in stats.stages) for name in names}
 
 
-@pytest.mark.parametrize("representation,peak", [("inner", 41_208), ("full", 192_000)])
+@pytest.mark.parametrize("representation,peak", [("inner", 7_272), ("full", 26_625)])
 def test_loop9_work_counters_are_pinned(representation, peak):
     """Deterministic work counters on loop9 under the default configuration;
-    a change to any predicate or to the memory proxy moves one of them."""
+    a change to any predicate or to the bytes a stage holds moves one of
+    them."""
     rays, stats = run(LOOP9, RunConfig(representation=representation))
     assert len(rays) == 77
     # Of the 44,656 pairs of S_+ x S_-, 8,693 are compatible (the rest are
