@@ -274,17 +274,22 @@ def test_zero_sets_stay_pairwise_distinct_on_random_closed_triangulations():
     report("distinct-zero-sets-random", not bad, "; ".join(bad) or "90 triangulations")
 
 
+def census_like_problems() -> list[EnumerationProblem]:
+    """20 seeded random closed triangulations of 8 tetrahedra, the size of
+    the census8 benchmark's instances."""
+    rng = random.Random(20102)
+    return [standard_matching_equations(random_closed_triangulation(8, rng)) for _ in range(20)]
+
+
 def test_census_like_work_counters_are_pinned():
-    """Every `Stage` field summed over 20 seeded random closed triangulations
-    of 8 tetrahedra, the size of the census8 benchmark's instances, under
-    the default configuration: any change to the pair work, the stage
+    """Every `Stage` field summed over the `census_like_problems` under the
+    default configuration: any change to the pair work, the stage
     bookkeeping or the bytes a stage holds on census-size instances moves a
     sum."""
-    rng = random.Random(20102)
     sums = dict.fromkeys(Stage._fields, 0)
     rays = initial = 0
-    for _ in range(20):
-        found, stats = run(standard_matching_equations(random_closed_triangulation(8, rng)))
+    for problem in census_like_problems():
+        found, stats = run(problem)
         rays += len(found)
         initial += stats.initial[1]
         for stage in stats.stages:

@@ -3,7 +3,7 @@
 import random
 from array import array
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from conedd.dd_engine import (
     group_partners,
     hyperplane_values,
     init_vertices,
+    lane_rows,
     prefilter_need,
     recover,
     recovery_kernel,
@@ -43,6 +44,7 @@ from conedd.oracle import brute_force_filtered, brute_force_rays
 from conedd.ordering import order_static, parse_strategy
 from conedd.triangulation import parse_triangulation, standard_matching_equations, twisted_layered_loop
 from recovery_reference import check_against_reference
+from test_acceptance import census_like_problems
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -480,10 +482,10 @@ def row_of(store, width, j):
     return store[j * width : (j + 1) * width]
 
 
-def combined(u, w, a, b, mask=None):
+def combined(u, w, a, b):
     """`combine` of rows u and w into an empty store of their kind, read back
     as a list."""
-    return list(combine(u, w, a, b, mask, u[:0]))
+    return list(combine(u, w, a, b, u[:0]))
 
 
 def test_combine_full():
@@ -492,16 +494,16 @@ def test_combine_full():
     # Row 0 is x6 - x5: e6 sits on the positive side, e5 on the negative.
     common = masks[6] & masks[5]
     assert common == bits_of(range(5))
-    assert combined(e6, e5, 1, -1, common) == [0, 0, 0, 0, 0, 1, 1]
+    assert combined(e6, e5, 1, -1) == [0, 0, 0, 0, 0, 1, 1]
+    assert zero_mask(combined(e6, e5, 1, -1)) == common
     # The result is divided by the gcd of its values.
-    assert combined(e6, e5, 2, -2, common) == [0, 0, 0, 0, 0, 1, 1]
+    assert combined(e6, e5, 2, -2) == [0, 0, 0, 0, 0, 1, 1]
 
 
 def test_combine_inner():
     masks, full = init_vertices(GIESEKING, "full")
     _, inner = init_vertices(GIESEKING, "inner")
-    common = masks[6] & masks[5]
-    rf = combined(row_of(full, 7, 6), row_of(full, 7, 5), 1, -1, common)
+    rf = combined(row_of(full, 7, 6), row_of(full, 7, 5), 1, -1)
     # The products of the combined coordinates with every row; the
     # processed hyperplane's is 0, and `step` deletes it with its column.
     ri = combined(row_of(inner, 5, 6), row_of(inner, 5, 5), 1, -1)
@@ -510,25 +512,46 @@ def test_combine_inner():
 
 
 def test_combine_requires_opposite_sides():
-    masks, store = init_vertices(GIESEKING, "full")
+    _, store = init_vertices(GIESEKING, "full")
     e5, e6 = row_of(store, 7, 5), row_of(store, 7, 6)
-    common = masks[5] & masks[6]
     with pytest.raises(InternalError):
-        combined(e5, e6, -1, 1, common)  # sides swapped
+        combined(e5, e6, -1, 1)  # sides swapped
     with pytest.raises(InternalError):
-        combined(e6, e5, 1, 0, common)  # w on the hyperplane
+        combined(e6, e5, 1, 0)  # w on the hyperplane
 
 
-def test_forged_full_vertex_fails_the_zero_set_check():
+def recording_lanes(monkeypatch, build=True):
+    """Wraps `lane_rows` so that every row it is asked for is recorded as
+    (k, built); with `build` False it builds none, so `combine` builds every
+    combination.  Returns the list of records."""
+    made = []
+
+    def wrapped(data, width):
+        row = lane_rows(data, width)
+
+        def recorded(u, k, w):
+            out = row(u, k, w) if build else None
+            made.append((k, out is not None))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(dd_engine, "lane_rows", wrapped)
+    return made
+
+
+def test_forged_full_vertex_fails_the_zero_set_check(monkeypatch):
     """A `full` vertex whose mask claims a zero its coordinates lack is
-    caught when the engine combines it."""
-    state = initial_state(GIESEKING, "full")
-    forged = state.masks[6] | 1 << 6
-    with pytest.raises(InternalError, match="zero set"):
-        combined(row_of(state.store, 7, 6), row_of(state.store, 7, 5), 1, -1, forged & state.masks[5])
-    state.masks[6] = forged
-    with pytest.raises(InternalError, match="zero set"):
-        step(state, 0)
+    caught when the engine combines it, whether the row was built lane-wise
+    or by `combine`: gieseking's first row, x6 - x5, combines e6 and e5
+    with a = 1 and b = -1."""
+    for build in (True, False):
+        made = recording_lanes(monkeypatch, build)
+        state = initial_state(GIESEKING, "full")
+        state.masks[6] |= 1 << 6
+        with pytest.raises(InternalError, match="zero set"):
+            step(state, 0)
+        assert made == [(1, build)]
 
 
 @pytest.mark.parametrize("representation", ["inner", "full"])
@@ -594,13 +617,13 @@ def value_pairs(entries):
     ))
 
 
-def check_combine(u, w, a, b, mask):
+def check_combine(u, w, a, b):
     """`combine` against `reference_combine`, appended to a store that holds
     one row already, which it keeps, leaving u and w as they were, with
     every value at most (a - b) times the largest |x| of u and w.  Returns
     the store."""
     before = (list(u), list(w))
-    out = combine(u, w, a, b, mask, u[:])
+    out = combine(u, w, a, b, u[:])
     assert list(out[len(u):]) == reference_combine(u, w, a, b, None)
     assert list(out[:len(u)]) == before[0]
     assert (list(u), list(w)) == before
@@ -612,40 +635,83 @@ def check_combine(u, w, a, b, mask):
 @settings(max_examples=200)
 @given(value_pairs(wide), sides)
 def test_combine_matches_the_reference_under_inner(values, side):
-    """An `inner` combination, reading no mask."""
+    """An `inner` combination, of values in bytes or past them."""
     u_values, w_values, _ = values
     store, n = store_of([u_values, w_values]), len(u_values)
-    check_combine(row_of(store, n, 0), row_of(store, n, 1), *side, None)
+    check_combine(row_of(store, n, 0), row_of(store, n, 1), *side)
 
 
 @settings(max_examples=200)
 @given(value_pairs(st.one_of(st.just(0), byte.map(abs), wide.map(abs))), sides)
 def test_combine_matches_the_reference_under_full(coords, side):
-    """A `full` combination of non-negative coordinates, whose zero set is
-    Z(u) & Z(w), in bytes or past them.  A mask forged on a coordinate
-    where w is zero always disagrees with the combined coordinates, and is
-    caught."""
+    """A `full` combination of non-negative coordinates, in bytes or past
+    them, whose zero set is Z(u) & Z(w), the mask `step` checks it against:
+    a mask forged on a coordinate where w is zero never matches it."""
     u_values, w_values, j = coords
     w_values[j] = 0
     store, n = store_of([u_values, w_values]), len(u_values)
     u, w = row_of(store, n, 0), row_of(store, n, 1)
     common = zero_mask(u_values) & zero_mask(w_values)
-    check_combine(u, w, *side, common)
-    with pytest.raises(InternalError, match="zero set"):
-        combined(u, w, *side, common ^ 1 << j)
+    zeros = zero_mask(check_combine(u, w, *side)[n:])
+    assert zeros == common != common ^ 1 << j
 
 
-@settings(max_examples=300)
-@given(value_pairs(byte))
-def test_lanewise_add_matches_the_reference(values):
-    """w + u on rows of signed bytes, added lane-wise on their bytes, equals
-    the list arithmetic: with a lane that overflows the store widens, and a
-    row with no +-1 is divided by its gcd.  The store stays signed bytes
-    exactly when every value of the normalised row fits in one."""
+def lanes_certify(u, w, k):
+    """Whether `lane_rows` builds w + k*u, in list arithmetic: every value
+    of k*u and of the sum fits in a signed byte, and the sum, halved while
+    every value is even and one is not 0, holds +-1 or is all zeros."""
+    total = [x + k * y for x, y in zip(w, u)]
+    if not all(-128 <= x < 128 for x in [k * y for y in u] + total):
+        return False
+    while any(total) and all(x % 2 == 0 for x in total):
+        total = [x // 2 for x in total]
+    return not any(total) or 1 in total or -1 in total
+
+
+def lane_or_combine(u, w, k):
+    """w + k*u appended as `step` appends it to an empty store of signed
+    bytes: the row `lane_rows` builds, or `combine`'s when it builds none.
+    Returns the store and whether `lane_rows` built the row."""
+    store, n = array("b", u + w), len(u)
+    row = lane_rows(store.tobytes(), n)(0, k, 1)
+    if row is not None:
+        return array("b", row), True
+    return combine(row_of(store, n, 0), row_of(store, n, 1), 1, -k, array("b")), False
+
+
+# Values of one signed byte whose multiples by k = 1..8 reach the ends of
+# the byte range.
+near_edges = st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.sampled_from([127 // k, -128 // k] + ([127 // k + 1, -128 // k - 1] if k > 1 else []))
+)
+
+
+@settings(max_examples=500)
+@given(
+    value_pairs(st.one_of(byte, near_edges)),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(1, 8)), min_size=1, max_size=6),
+)
+def test_lanewise_add_matches_the_reference(values, calls):
+    """w + k*u for k = 1..8 on rows of signed bytes, built lane-wise by
+    `lane_rows`, equals the list arithmetic, and the lanes build it exactly
+    when `lanes_certify` says so; otherwise `combine` builds it, widening
+    the store when a value needs it.  One `lane_rows` serves a sequence of
+    calls, each with either row as u, so its multiples of u, held while
+    the calls keep one u, must serve each k met."""
     u_values, w_values, _ = values
-    out = check_combine(array("b", u_values), array("b", w_values), 1, -1, None)
-    fits = all(-128 <= x < 128 for x in reference_combine(u_values, w_values, 1, -1, None))
-    assert out.typecode == ("b" if fits else "h")
+    rows = (u_values, w_values)
+    n = len(u_values)
+    lanes = lane_rows(array("b", u_values + w_values).tobytes(), n)
+    for u, k in calls:
+        w = 1 - u
+        row = lanes(u, k, w)
+        want = reference_combine(rows[u], rows[w], 1, -k, None)
+        assert (row is not None) == lanes_certify(rows[u], rows[w], k)
+        if row is not None:
+            assert list(array("b", row)) == want
+        out, _ = lane_or_combine(rows[u], rows[w], k)
+        assert list(out) == want
+        assert out.typecode == ("b" if all(-128 <= x < 128 for x in want) else "h")
 
 
 @pytest.mark.parametrize(
@@ -656,17 +722,37 @@ def test_lanewise_add_matches_the_reference(values):
         ([127, -128], [-127, 127], [0, -1], "b"),  # the extremes, with no overflow
         ([2, 4, 0], [2, 2, 6], [2, 3, 3], "b"),  # halved once, then no +-1 lane
         ([2, 4, 3], [2, 2, 6], [4, 6, 9], "b"),  # an odd value, and no +-1 lane
-        ([2, -2], [2, -2], [1, -1], "b"),  # halved twice
+        ([2, -2], [2, -2], [1, -1], "b"),  # halved twice, down to +-1
         ([-64, 32], [-64, 32], [-2, 1], "b"),  # -128 and 64: halved six times
         ([0, 0], [0, 0], [0, 0], "b"),  # a row of zeros is stored as it is
         ([64, 0], [64, -2], [64, -1], "b"),  # 128 overflows, and halving brings it back
         ([3, -5], [-1, 4], [2, -1], "b"),  # borrows between lanes stay in them
+        ([2, 4], [4, 8], [1, 2], "b"),  # 6, 12 halve to 3, 6: gcd 3, no +-1 lane
     ],
 )
 def test_lanewise_add_edge_cases(u, w, want, typecode):
-    out = combine(array("b", u), array("b", w), 1, -1, None, array("b"))
+    """w + u as `step` stores it: the lanes build it when they certify its
+    gcd, and `combine` builds the rest."""
+    out, built = lane_or_combine(u, w, 1)
     assert (list(out), out.typecode) == (want, typecode)
     assert want == reference_combine(u, w, 1, -1, None)
+    assert built == lanes_certify(u, w, 1)
+
+
+def test_lane_rows_fall_back_when_a_multiple_overflows():
+    """k*u is built lane-wise, and a lane of it that overflows leaves the
+    row to `combine`, even when the sum would fit: 2 * 64 leaves the byte
+    range, though w + 2u is (28, 0) and normalises to (1, 0)."""
+    u, w = [64, 1], [-100, -2]
+    lanes = lane_rows(array("b", u + w).tobytes(), 2)
+    assert lanes(0, 1, 1) == array("b", [-36, -1]).tobytes()  # u itself fits
+    assert lanes(0, 2, 1) is None
+    assert lanes(0, 3, 1) is None  # every larger multiple overflows too
+    assert lane_or_combine(u, w, 2) == (array("b", [1, 0]), False)
+    # 63 * 2 = 126 fits, and w + 2u = (26, 0) halves once to (13, 0),
+    # with no +-1 lane: `combine` divides by 13.
+    assert lane_or_combine([63, 1], [-100, -2], 2) == (array("b", [1, 0]), False)
+    assert lane_or_combine([63, 1], [-125, -2], 2) == (array("b", [1, 0]), True)
 
 
 def test_hyperplane_without_stored_product_is_an_internal_error():
@@ -828,6 +914,18 @@ def test_run_config_validation():
         RunConfig(representation="bogus")
     with pytest.raises(ValueError):
         RunConfig(dim_prefilter="bogus")
+
+
+def test_ray_has_slots_and_stays_frozen():
+    """A `Ray` holds its coordinates in a slot, with no `__dict__`, and is
+    still frozen, equal by value and hashable."""
+    ray = Ray((1, 0, 2))
+    assert Ray.__slots__ == ("coords",) and not hasattr(ray, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        ray.coords = (0, 0, 0)
+    assert ray == Ray((1, 0, 2)) != Ray((1, 0, 3))
+    assert hash(ray) == hash(Ray((1, 0, 2)))
+    assert len({ray, Ray((1, 0, 2)), Ray((0, 1, 2))}) == 2
 
 
 def test_recover_examples():
@@ -1555,6 +1653,45 @@ def test_step_matches_a_brute_force_stage(problem, prefilter, filtering, represe
         # prefilter, those removed in bulk too, in double-loop order.
         assert heard == verdicts
         assert last.tested <= len(heard) <= last.tested + last.bulk
+
+
+def test_lane_rows_stop_once_a_combination_widens_the_store(monkeypatch):
+    """A hand-built `inner` stage of signed bytes where the first
+    combination, (0, 200, 1), widens the new store to 16 bits: the next
+    one, (0, 1, 1), which the lanes would certify, goes to `combine` too,
+    as a lane row of bytes no longer fits the store."""
+    rows = [[1, 100, 1], [1, -99, 1], [-1, 100, 0]]
+    masks = [0b0110, 0b0101, 0b0011]  # each pair is adjacent, by any test
+    problem = EnumerationProblem(4, (sparse_row((0,) * 4),) * 3, ())
+    config = RunConfig(filtering=False, dim_prefilter="off")
+    state = EngineState(problem, config, masks, store_of(rows), [], [0, 1, 2], 0, RunStats())
+    want, _, _, _ = reference_step(state, 0)
+    made = recording_lanes(monkeypatch)
+    after = step(state, 0)
+    assert (after.masks, list(after.vertices)) == want
+    assert want[1][-2:] == [[200, 1], [1, 1]] and after.store.typecode == "h"
+    assert made == [(1, False)]
+
+
+@pytest.mark.parametrize("representation", ["inner", "full"])
+def test_step_matches_a_brute_force_stage_on_census_like_instances(representation, monkeypatch):
+    """Every stage of the census-size instances of
+    `test_census_like_work_counters_are_pinned`, in `run`'s order, against
+    `reference_step`: there the stores hold signed bytes, and `lane_rows`
+    builds rows with k = 1, 2 and 3, and leaves some to `combine`."""
+    made = recording_lanes(monkeypatch)
+    for problem in census_like_problems():
+        state = initial_state(problem, representation)
+        for k in order_static(problem, state.config.ordering):
+            want, pairs, compatible_pairs, _ = reference_step(state, k)
+            state = step(state, k)
+            assert (state.masks, list(state.vertices)) == want
+            last = state.stats.stages[-1]
+            assert [last.pairs, last.compatible] == [pairs, compatible_pairs]
+            assert state.store.typecode == "b"
+    built = Counter(k for k, lane_built in made if lane_built)
+    assert built[1] and built[2] and built[3]
+    assert not all(lane_built for _, lane_built in made)
 
 
 def test_bulk_removed_pairs_on_loop9_are_not_adjacent():
