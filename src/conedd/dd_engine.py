@@ -213,7 +213,7 @@ class GroupTable(NamedTuple):
         return cls(rest, sum(rest))  # the keys are distinct single bits
 
 
-Store = Union[array, list[int]]  # an array of any typecode, or a list past 2^63
+Store = Union[array, list[int]]  # signed bytes while every value fits, else a list
 
 
 class ValueRows(Sequence[list[int]]):
@@ -245,15 +245,15 @@ class EngineState:
     they were handled; `remaining` lists the others, in the order of the
     values of an `inner` row.
 
-    The store is one `array` a stage.  V_0 gets the narrowest of the
-    typecodes 'b', 'h', 'i' and 'q' (signed 8 to 64 bits) that holds +-x
-    for its largest |x|, and a value that does not fit widens the store to
-    the next; past 2^63 it becomes a list, so the arithmetic stays exact.
+    The store is one of two kinds a stage: an `array` of signed bytes
+    ('b') while every value fits, else a list of Python ints, so the
+    arithmetic stays exact.  V_0 is a byte array when its largest |x| is
+    below 128, and a value that does not fit turns the store into a list.
     A store never narrows within a run: each step starts its store as the
-    kind of the one before.  Every value of loop12 (max |x| 19), the unfiltered
-    n = 6 loop (16) and census8 (70) fits in a signed byte, and loop12's
-    largest stage, 1,585 rows of 10 values, takes 15.5 KiB, where a list
-    a row took about 228 KiB.
+    kind of the one before.  Every value of loop12 (max |x| 19), loop18
+    (31), the unfiltered n = 6 loop (16) and census8 (70) fits in a signed
+    byte, and loop12's largest stage, 1,585 rows of 10 values, takes 15.5
+    KiB, where a list a row took about 228 KiB.
 
     `group_table` is the group filter's `GroupTable`, of the problem's
     groups with filtering on and empty with it off; it is built with the
@@ -308,41 +308,13 @@ def stage_bytes(masks: Sequence[int], store: Store, dim: int) -> int:
     return len(masks) * ((dim + 7) // 8) + values
 
 
-# The next wider typecode of a value store; 'q' widens to a list.
-_WIDER = {"b": "h", "h": "i", "i": "q"}
-
-
-def _widened(store: array) -> Store:
-    """The same values in the next wider store."""
-    code = _WIDER.get(store.typecode)
-    return array(code, store) if code else store.tolist()
-
-
-def _is_bytes(store: Store) -> bool:
-    """Whether the store holds signed bytes, the rows `lane_rows` reads."""
-    return type(store) is array and store.typecode == "b"
-
-
-def _append(store: Store, values: list[int]) -> Store:
-    """`store` with `values` appended, widened first as often as one of
-    them needs."""
-    while type(store) is array:
-        try:
-            store.fromlist(values)  # all or nothing
-            return store
-        except OverflowError:
-            store = _widened(store)
-    store += values
-    return store
-
-
 def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[list[int], Store]:
     """V_0, the d unit rays in the requested representation: their zero
     sets and their value store.
 
     Under `full` the store holds the d unit rows, as signed bytes.  Under
-    `inner` row j holds column j of the equations, in the narrowest store
-    that holds the largest |coefficient|."""
+    `inner` row j holds column j of the equations: as signed bytes when
+    the largest |coefficient| is below 128, else in a list."""
     d = problem.dim
     full_bits = (1 << d) - 1
     masks = [full_bits ^ (1 << j) for j in range(d)]
@@ -352,9 +324,7 @@ def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[lis
         return masks, store
     g = len(problem.equations)
     bound = max((abs(x) for row in problem.equations for x in row.values()), default=0)
-    store = array("b", bytes(d * g))
-    while type(store) is array and bound >> (8 * store.itemsize - 1):
-        store = _widened(store)
+    store = array("b", bytes(d * g)) if bound < 128 else [0] * (d * g)
     for k, row in enumerate(problem.equations):
         for j, x in row.items():
             store[j * g + k] = x
@@ -600,17 +570,18 @@ def lane_rows(data: bytes, width: int) -> Callable[[int, int, int], Optional[byt
 
 def combine(u: Store, w: Store, a: int, b: int, out: Store) -> Store:
     """Append to the value store `out` the row a*w - b*u, divided by the gcd
-    of its values, and return the store, widened if a value needed it.
+    of its values, and return the store: a list, if `out` held signed
+    bytes and a value does not fit in one.
 
     u and w are the value rows of V_{i-1} with values a > 0 and b < 0 on
-    the hyperplane being processed, as slices of a store no wider than
-    `out`.  The row holds a zero at that hyperplane's column, a*b - b*a,
-    which `step` deletes with the rest of the column under `inner`.
+    the hyperplane being processed, as slices of its store.  The row holds
+    a zero at that hyperplane's column, a*b - b*a, which `step` deletes
+    with the rest of the column under `inner`.
 
     The row is built as a list, checked for +-1 and normalised by
     `vector_gcd`.  `step` calls it for the combinations `lane_rows` does
     not build: those with a != 1 (0.6% of loop12's and about 7% of
-    census8's), those on a wider store, and those whose lanes overflow or
+    census8's), those on a list store, and those whose lanes overflow or
     hold no +-1 after halving.
     """
     if a <= 0 or b >= 0:
@@ -620,7 +591,14 @@ def combine(u: Store, w: Store, a: int, b: int, out: Store) -> Store:
         g = vector_gcd(values)
         if g > 1:
             values = [x // g for x in values]
-    return _append(out, values)
+    if type(out) is array:
+        try:
+            out.fromlist(values)  # all or nothing
+            return out
+        except OverflowError:
+            out = out.tolist()
+    out += values
+    return out
 
 
 def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> EngineState:
@@ -729,7 +707,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
         comb = cfg.adjacency == "comb"
         rows = None if comb else [problem.equations[j] for j in state.processed]
         need = prefilter_need(cfg.dim_prefilter, processed_count, sep_before, d)
-        lanes = lane_rows(store.tobytes(), width) if _is_bytes(store) else None
+        lanes = lane_rows(store.tobytes(), width) if type(store) is array else None
 
         for ui in s_pos:
             u_mask, a = masks[ui], values[ui]
@@ -781,7 +759,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
                         else:
                             u_row = store[ui * width : (ui + 1) * width]
                             out = combine(u_row, store[i * width : (i + 1) * width], a, b, out)
-                            if not _is_bytes(out):  # widened: no lane row fits it now
+                            if type(out) is not array:  # now a list: no lane row fits it
                                 lanes = None
                         if full and zero_mask(out[-width:]) != common:
                             raise InternalError("combined ray zero set does not match its coordinates")
