@@ -88,7 +88,9 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_problem(path: str, as_triangulation: bool, dedup: bool) -> EnumerationProblem:
+def _load_problem(path: str, as_triangulation: bool = False, dedup: bool = False) -> EnumerationProblem:
+    """The problem in the file at `path`: a cone file, or the matching
+    equations of a triangulation file."""
     text = Path(path).read_text()
     if as_triangulation:
         return standard_matching_equations(parse_triangulation(text), dedup=dedup)
@@ -143,15 +145,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_equations(args: argparse.Namespace) -> int:
-    problem = standard_matching_equations(
-        parse_triangulation(Path(args.input).read_text()), dedup=args.dedup
-    )
+    problem = _load_problem(args.input, as_triangulation=True, dedup=args.dedup)
     _write_or_print(write_cone(problem), args.output)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem = parse_cone(Path(args.problem).read_text())
+    problem = _load_problem(args.problem)
     rays = parse_rays(Path(args.rays).read_text())
     for index, coords in enumerate(rays):
         if len(coords) != problem.dim:
@@ -169,7 +169,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_cone(Path(args.input).read_text())
+    problem = _load_problem(args.input)
     rays = brute_force_filtered(problem) if args.filtered else brute_force_rays(problem)
     _write_or_print(write_rays([r.coords for r in rays]), args.output)
     return EXIT_OK
@@ -199,31 +199,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     inputs = [p for p in args.input.split(",") if p]
     configs = _parse_matrix(args.matrix)
     rows = []
-    failures = 0
-    total = 0
     for path in inputs:
         instance = Path(path).name
         as_triangulation = path.endswith(".tri")
         coords = _coords_label(as_triangulation)
         try:
             problem = _load_problem(path, as_triangulation, args.dedup)
-            problem_error = None
         except (ParseError, OSError, ValueError) as exc:
-            problem, problem_error = None, str(exc)
+            error = f"error: {exc}"
+            rows += [_bench_row(instance, coords, config, None, error) for config in configs]
+            continue
         for config in configs:
-            total += 1
-            if problem is None:
-                rows.append(_bench_row(instance, coords, config, None, f"error: {problem_error}"))
-                failures += 1
-                continue
             try:
                 _, stats = run(problem, config)
                 rows.append(_bench_row(instance, coords, config, stats, "ok"))
             except Exception as exc:  # record per-run failures, keep going
                 rows.append(_bench_row(instance, coords, config, None, f"error: {exc}"))
-                failures += 1
     _write_csv(rows, args.out)
-    if total and failures == total:
+    if rows and all(row["status"] != "ok" for row in rows):
         return EXIT_INTERNAL
     return EXIT_OK
 

@@ -29,11 +29,10 @@ A ray's unknowns are then the free columns outside its
 zero set, and only the pivot rows inside the zero set constrain them.  So
 the columns most final rays are non-zero on should be pivots: when the
 counts of rays non-zero on each column show that this pays,
-`final_recovery_kernel` builds a second form pivoting on those columns
-first and keeps the cheaper one.  That leaves 3.8 unknowns a ray on
-average on loop12 (d = 84; 9 in the input order), about 4.6 on loop15,
-5.5 on the unfiltered n = 6 loop (input order kept) and about 2 on random
-closed 8-tetrahedron triangulations.  A ray is solved from one inside
+`final_recovery_kernel` pivots on those columns first.  That leaves 3.8
+unknowns a ray on average on loop12 (d = 84; 9 in the input order), about
+4.6 on loop15, 5.5 on the unfiltered n = 6 loop (input order kept) and
+about 2 on random closed 8-tetrahedron triangulations.  A ray is solved from one inside
 row per lowest unknown, already in echelon form, when that gives n - 1
 rows for n unknowns; the walk that gives its pivot coordinates checks the
 other rows (see `recover`).  `Ray`, the output type, holds the
@@ -86,10 +85,9 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import and_, attrgetter
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .cone_problem import EnumerationProblem
@@ -854,35 +852,27 @@ def final_recovery_kernel(problem: EnumerationProblem, masks: Sequence[int]) -> 
 
     A ray's unknowns are the free columns it is non-zero on, so the columns
     most rays are non-zero on should be pivots.  With n_j the number of
-    masks that miss column j, the input-order kernel's free columns F give
-    U = sum of n_f over F unknowns in all; no order can give fewer than L,
-    the sum of the |F| smallest n_j.  Only when 2L < U is a second kernel
-    built, pivoting on the columns by n_j, largest first, ties by index;
-    the kernel kept is the one with the shorter walk, sum of n_f times the
-    length of f's column list, that `recover` makes over all the masks.
+    masks that miss column j, the columns left out are those with n_j = 0,
+    and the input-order kernel's free columns F give U = sum of n_f over F
+    unknowns in all; no order can give fewer than L, the sum of the |F|
+    smallest n_j.  When 2L < U the kernel pivots on the columns by n_j
+    instead, largest first, ties by index.
     """
     d = problem.dim
-    zeros = reduce(and_, masks, (1 << d) - 1)
-    kernel = recovery_kernel(problem, zeros)
     # n_j in C: column j's 8-bit chunk of every mask, one byte a mask,
     # translated to b"1" where the mask misses bit j.
     width = (d + 7) // 8
     rows = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    counts = {
-        j: rows[j >> 3 :: width].translate(_DISJOINT[1 << (j & 7)]).count(b"1")
-        for j in range(d)
-        if not zeros >> j & 1
-    }
+    columns = [rows[c::width] for c in range(width)]
+    misses = [columns[j >> 3].translate(_DISJOINT[1 << (j & 7)]).count(b"1") for j in range(d)]
+    zeros = sum(1 << j for j, n in enumerate(misses) if not n)
+    counts = {j: n for j, n in enumerate(misses) if n}
+    kernel = recovery_kernel(problem, zeros)
     unknowns = sum(map(counts.__getitem__, kernel.free))
     least = sum(sorted(counts.values())[: len(kernel.free)])
     if 2 * least >= unknowns:
         return kernel
-    reordered = recovery_kernel(problem, zeros, sorted(counts, key=counts.__getitem__, reverse=True))
-
-    def walk(k: RecoveryKernel) -> int:
-        return sum(counts[f] * len(col) for f, col in k.free.items())
-
-    return reordered if walk(reordered) < walk(kernel) else kernel
+    return recovery_kernel(problem, zeros, sorted(counts, key=counts.__getitem__, reverse=True))
 
 
 def recover(problem: EnumerationProblem, mask: int, kernel: Optional[RecoveryKernel] = None) -> Ray:

@@ -246,7 +246,7 @@ def _closed_loop_gluings(
 
 # Layering permutations for the twisted loop family; the closing pair applies
 # the twist.  Found by exhaustive search over loop-shaped gluings (see
-# scripts/gen_fixtures.py --search) and validated by the closed-form filtered
+# scripts/gen_fixtures.py --search-loop) and validated by the closed-form filtered
 # solution counts F(n-1) + 2 F(n-2) + 1 of this family at n = 4..9.
 _CHAIN_A: Perm = (1, 0, 2, 3)
 _CHAIN_B: Perm = (0, 1, 3, 2)

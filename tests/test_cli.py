@@ -184,7 +184,10 @@ def test_bench_empty_matrix_writes_header_only(tmp_path):
     assert out.read_text() == ",".join(BENCH_COLUMNS) + "\n"
 
 
-def test_bench_records_failures_but_continues(tmp_path):
+def test_bench_records_failures_but_continues(tmp_path, monkeypatch):
+    """An unreadable input gives one error row per config, in input order
+    beside the others' rows, and a run that raises gives an `error:` row;
+    either way, one `ok` row keeps the exit code 0."""
     out = tmp_path / "bench.csv"
     code = main(
         [
@@ -202,6 +205,37 @@ def test_bench_records_failures_but_continues(tmp_path):
     assert [r["status"] == "ok" for r in rows] == [True, False]
     assert rows[1]["status"].startswith("error:")
     assert rows[1]["time_ms"] == ""
+
+    inputs = f"{tmp_path / 'missing.cone'},{GIESEKING},{tmp_path / 'bad.tri'},{ONETET}"
+    (tmp_path / "bad.tri").write_text("not a triangulation\n")
+    matrix = "order=input,position"
+    assert main(["bench", "--input", inputs, "--matrix", matrix, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [(r["instance"], r["order"]) for r in rows] == [
+        (name, order)
+        for name in ("missing.cone", "gieseking.cone", "bad.tri", "onetet.tri")
+        for order in ("input", "position")
+    ]
+    assert [r["status"] == "ok" for r in rows] == [False, False, True, True] * 2
+    assert all(r["status"].startswith("error: [Errno 2]") for r in rows[0:2])
+    assert all(r["status"].startswith("error: first line") for r in rows[4:6])
+    assert all(r["time_ms"] == "" for r in rows[0:2] + rows[4:6])
+
+    real_run = cli.run
+
+    def fails_by_position(problem, config):
+        if config.ordering.kind == "position":
+            raise InternalError("induced failure")
+        return real_run(problem, config)
+
+    monkeypatch.setattr(cli, "run", fails_by_position)
+    assert main(["bench", "--input", GIESEKING, "--matrix", matrix, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [(r["order"], r["status"]) for r in rows] == [
+        ("input", "ok"),
+        ("position", "error: induced failure"),
+    ]
+    assert rows[1]["time_ms"] == rows[1]["final_count"] == ""
 
 
 def test_bench_all_failures_exit_2(tmp_path):

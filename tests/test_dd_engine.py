@@ -1052,6 +1052,31 @@ def test_final_kernel_order_and_work_are_pinned(
     assert check_against_reference(problem, masks, kernel) == rays
 
 
+def test_count_ordered_kernel_is_used_whenever_it_is_built(monkeypatch):
+    """Under the default config, whenever `final_recovery_kernel` builds the
+    count-ordered kernel its walk is shorter than the input-order kernel's,
+    and it is the kernel returned: loop9, loop12 and one of the
+    `census_like_problems` build it.  A change to the counts or the gate
+    that builds a kernel walking no less fails here."""
+    built = []
+    real = dd_engine.recovery_kernel
+    monkeypatch.setattr(dd_engine, "recovery_kernel", lambda *a: built.append(real(*a)) or built[-1])
+    builds = {}
+    problems = {"loop9": problem_named("loop9"), "loop12": problem_named("loop12")}
+    problems.update((f"census{i}", p) for i, p in enumerate(census_like_problems()))
+    for name, problem in problems.items():
+        masks = final_masks(problem)
+        built.clear()
+        kernel = final_recovery_kernel(problem, masks)
+        builds[name] = len(built)
+        assert kernel is built[-1]
+        if len(built) == 2:
+            in_order, reordered = built
+            assert kernel_work(reordered, masks)[1] < kernel_work(in_order, masks)[1]
+    assert builds.pop("loop9") == builds.pop("loop12") == 2
+    assert sorted(builds.values()) == [1] * 19 + [2]
+
+
 @pytest.mark.parametrize("name", ["gieseking", "onetet", "s2xs1", "loop9"])
 def test_kernel_recovery_matches_the_reference_on_random_masks(name):
     """Uniform random masks, and masks near the final zero sets (one bit
@@ -1085,7 +1110,8 @@ def test_kernel_recovery_edge_cases():
     """One unknown, a pivot entry other than 1, no unknown, nullity 2,
     mixed signs, a pivot coordinate left zero, a column in the kernel's
     zero set, and a column order: a permutation of the columns outside the
-    kernel's zero set, or `ValueError`."""
+    kernel's zero set, or `ValueError`.  The run's kernel, with a column in
+    every final zero set and with no final zero set at all."""
     line = EnumerationProblem(dim=2, equations=(sparse_row((1, -1)),), groups=())
     assert recovery_kernel(line) == (0, 0b1, {0: 1}, {1: [(0, -1)]})  # one unknown, y_1
     half = EnumerationProblem(dim=2, equations=(sparse_row((2, -1)),), groups=())
@@ -1117,6 +1143,15 @@ def test_kernel_recovery_edge_cases():
     for order in ([0], [1, 0, 0], [0, 2], [0, 1, 2], [1, 3]):
         with pytest.raises(ValueError, match="not a permutation"):
             recovery_kernel(problem, 0b100, order)
+    # The run's kernel leaves out the column every final mask holds.
+    assert final_masks(problem) == [0b100]
+    assert final_recovery_kernel(problem, [0b100]) == kernel
+    # No final vertex: x_0 + x_1 = 0 leaves only the origin, and the kernel
+    # leaves out every column.
+    origin = EnumerationProblem(dim=2, equations=(sparse_row((1, 1)),), groups=())
+    assert final_masks(origin) == []
+    assert run(origin)[0] == []
+    assert final_recovery_kernel(origin, []) == recovery_kernel(origin, 0b11) == (0b11, 0, {}, {})
 
 
 @pytest.mark.parametrize("name,filtering", [("s2xs1", True), ("s2xs1", False), ("loop9", True)])
