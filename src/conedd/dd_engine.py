@@ -42,16 +42,17 @@ The pair loop of a step asks one index, built for the stage over the zero
 sets of V_{i-1}: `zero_index` gives the bitset of the positions whose zero
 set contains a key, and both pair filters, the group filter and the
 combinatorial adjacency test, are that query (see `step`).  It keeps a
-`bytes` column per 8-bit chunk and answers a miss in C, with
-`bytes.translate` and `int(_, 2)`.  The same columns answer a second query,
-the positions whose zero set avoids a key, which drives bulk elimination:
-once a witness p rules out the pair (u, w), every partner w' of u not yet
-walked with Z(u) & Z(w') inside Z(p) has the witness p too, and all of them
-are the partners avoiding Z(u) & ~Z(p), save p itself.  So one query
-removes them before they reach the prefilter or the adjacency test.  The
-adjacency test returns the highest witness, which tends to be the newest
-vertex and to share the most zeros with u, so its query removes the most:
-on loop12 68,462 of the 85,622 compatible pairs, leaving 16,200 tested.
+`bytes` column per 8-bit chunk of the problem's d coordinates and answers
+a miss in C, with `bytes.translate` and `int(_, 2)`.  The same columns
+answer a second query, the positions whose zero set avoids a key,
+which drives bulk elimination: once a witness p rules out the pair (u, w),
+every partner w' of u not yet walked with Z(u) & Z(w') inside Z(p) has the
+witness p too, and all of them are the partners avoiding Z(u) & ~Z(p),
+save p itself.  So one query removes them before they reach the prefilter
+or the adjacency test.  The adjacency test returns the highest witness,
+which tends to be the newest vertex and to share the most zeros with u, so
+its query removes the most: on loop12 68,462 of the 85,622 compatible
+pairs, leaving 16,200 tested.
 Most tested pairs need no query at all: a pair whose zero sets differ in
 one coordinate on either side is adjacent, by a dimension count (see
 `step`), and that decides 9,701 of the 16,200, so 6,499 are queried.  The
@@ -329,18 +330,13 @@ def init_vertices(problem: EnumerationProblem, representation: str) -> tuple[lis
     return masks, store
 
 
-def _position(state: EngineState, k: int) -> int:
-    """Index of hyperplane k in `remaining`, which is where an `inner`
-    vertex stores its product with k."""
+def hyperplane_values(state: EngineState, k: int) -> list[int]:
+    """Value of each vertex of the state against hyperplane k, in order;
+    `InternalError` if k is processed already."""
     try:
-        return state.remaining.index(k)
+        position = state.remaining.index(k)  # where an `inner` row holds k's product
     except ValueError:
         raise InternalError(f"no stored product for hyperplane {k}") from None
-
-
-def hyperplane_values(state: EngineState, k: int) -> list[int]:
-    """Value of each vertex of the state against hyperplane k, in order."""
-    position = _position(state, k)  # also rejects a processed hyperplane
     store, width = state.store, state.width
     if state.config.representation == "full":
         values = [0] * len(state.masks)
@@ -377,36 +373,43 @@ class ZeroIndex(NamedTuple):
     avoiding: Callable[[int], int]
 
 
-def zero_index(masks: Sequence[int]) -> ZeroIndex:
-    """Subset index over the zero sets of V_{i-1}.
+def mask_columns(masks: Sequence[int], dim: int) -> list[bytes]:
+    """The zero sets `masks` as (dim + 7) // 8 byte columns, the width
+    `stage_bytes` charges: column c holds bits 8c to 8c + 7 of each mask,
+    one byte a mask, the last mask first."""
+    width = (dim + 7) // 8
+    rows = b"".join(map(int.to_bytes, reversed(masks), repeat(width), repeat("little")))
+    return [rows[c::width] for c in range(width)]
+
+
+def zero_index(masks: Sequence[int], dim: int) -> ZeroIndex:
+    """Subset index over `masks`, the zero sets of V_{i-1}.
 
     `containing(key)` is the bitset of the positions i with `masks[i] & key
-    == key`: a key with a bit above every mask is contained in no mask, and
-    key 0 in every one.  `avoiding(key)` is the bitset of the positions i
-    with `masks[i] & key == 0`: bits above every mask exclude nothing.
+    == key`, key 0 being in every mask, and `avoiding(key)` that of the
+    positions i with `masks[i] & key == 0`.  `masks` must not be empty and
+    every key must lie in `range(1 << dim)`, as in `step`: its keys are
+    sub-masks of zero sets and group keys, whose coordinates
+    `EnumerationProblem` checks are below `dim`.
 
-    Masks are split into 8-bit chunks, one `bytes` column per chunk with
-    the positions reversed.  A query keeps, for each non-zero chunk of the
-    key, the positions whose chunk passes: the column `translate`d to 0s and
-    1s and read by `int(_, 2)`, so that position i is bit i.  These are
+    The masks are split into 8-bit chunks, one `bytes` column per chunk
+    (`mask_columns`).  A query keeps, for each non-zero chunk of the key,
+    the positions whose chunk passes: the column `translate`d to 0s and 1s
+    and read by `int(_, 2)`, so that position i is bit i.  These are
     memoised per (chunk, key), one memo per query, so both pair filters
     share the misses of `containing`.
     """
     everything = (1 << len(masks)) - 1
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    rows = b"".join(map(int.to_bytes, reversed(masks), repeat(width), repeat("little")))
-    columns = [rows[c::width] for c in range(width)]
+    columns = mask_columns(masks, dim)
+    width = len(columns)
     # memo[chunk << 8 | key]: the positions whose chunk contains key (sup)
     # or shares no bit with it (dis).  Few (chunk, key) reach `avoiding`, so
     # its memo is a dict.
     sup_memo: list[Optional[int]] = [None] * (width << 8)
     dis_memo: dict[int, int] = {}
     slots = range(0, width << 8, 256)
-    top = width << 3
 
     def containing(key: int) -> int:
-        if key >> top:
-            return 0
         cand = everything
         for slot, byte in zip(slots, key.to_bytes(width, "little")):
             if byte:
@@ -418,8 +421,6 @@ def zero_index(masks: Sequence[int]) -> ZeroIndex:
         return cand
 
     def avoiding(key: int) -> int:
-        if key >> top:
-            key &= (1 << top) - 1
         cand = everything
         for slot, byte in zip(slots, key.to_bytes(width, "little")):
             if byte:
@@ -605,8 +606,8 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     The new vertex list is S_0 plus the combinations of compatible,
     prefiltered, adjacent pairs from S_+ x S_-, taken in ascending S_-
     position as in a plain double loop.  The new store starts as the same
-    kind as the old one, S_0's rows are copied into it as runs of
-    consecutive rows, and each combination is appended at the old width:
+    kind as the old one, S_0's masks and rows are copied as runs of
+    consecutive vertices, and each combination is appended at the old width:
     the row of the stage's `lane_rows` when a = 1, both stores hold signed
     bytes and its lanes certify the row, else `combine`'s.  Under `full`
     the zero set of every combined row, whichever built it, must equal
@@ -669,7 +670,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     d = problem.dim
     masks, store, width = state.masks, state.store, state.width
     values = hyperplane_values(state, k)
-    position = _position(state, k)
+    position = state.remaining.index(k)
     full = cfg.representation == "full"
     processed_count = len(state.processed)
     sep_before = state.sep
@@ -680,16 +681,16 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     s_neg = 0  # bitset of V_{i-1} positions
     start = 0  # where the current run of S_0 began
     for i, t in enumerate(values):
-        if t == 0:
-            new_masks.append(masks[i])
-            continue
-        if start < i:
-            out += store[start * width : i * width]
-        start = i + 1
-        if t > 0:
-            s_pos.append(i)
-        else:
-            s_neg |= 1 << i
+        if t:
+            if start < i:
+                new_masks += masks[start:i]
+                out += store[start * width : i * width]
+            start = i + 1
+            if t > 0:
+                s_pos.append(i)
+            else:
+                s_neg |= 1 << i
+    new_masks += masks[start:]
     out += store[start * width :]
 
     carried = len(new_masks)
@@ -700,7 +701,7 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
     if s_pos and s_neg:
         if len(set(masks)) != len(masks):
             raise InternalError(f"two vertices share a zero set before hyperplane {k}")
-        containing, avoiding = zero_index(masks)
+        containing, avoiding = zero_index(masks, d)
         partners_of = group_partners(containing, s_neg, state.group_table)
         comb = cfg.adjacency == "comb"
         rows = None if comb else [problem.equations[j] for j in state.processed]
@@ -778,7 +779,6 @@ def step(state: EngineState, k: int, pair_audit: Optional[PairAudit] = None) -> 
 
     if not full:
         del out[position::width]
-        width -= 1
     sep = sep_before + 1 if (s_pos and s_neg) else sep_before
     remaining = state.remaining[:position] + state.remaining[position + 1:]
     stats = state.stats
@@ -859,11 +859,9 @@ def final_recovery_kernel(problem: EnumerationProblem, masks: Sequence[int]) -> 
     instead, largest first, ties by index.
     """
     d = problem.dim
-    # n_j in C: column j's 8-bit chunk of every mask, one byte a mask,
-    # translated to b"1" where the mask misses bit j.
-    width = (d + 7) // 8
-    rows = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    columns = [rows[c::width] for c in range(width)]
+    # n_j in C: the byte column of bit j, translated to b"1" where a mask
+    # misses it.
+    columns = mask_columns(masks, d)
     misses = [columns[j >> 3].translate(_DISJOINT[1 << (j & 7)]).count(b"1") for j in range(d)]
     zeros = sum(1 << j for j, n in enumerate(misses) if not n)
     counts = {j: n for j, n in enumerate(misses) if n}

@@ -262,7 +262,7 @@ def test_bad_matrix_key_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "matrix", ["filter=maybe", "rep=sparse", "prefilter=bogus", "order=lexrand"]
+    "matrix", ["filter=maybe", "rep=sparse", "prefilter=bogus", "order=lexrand", "order="]
 )
 def test_bad_matrix_value_is_input_error(tmp_path, matrix):
     out = tmp_path / "bench.csv"
@@ -315,7 +315,8 @@ def test_enumerate_deterministic(tmp_path):
 
 def test_bench_deterministic_modulo_time(tmp_path):
     outs = []
-    for name in ("a.csv", "b.csv"):
+    # An empty segment between the keys changes nothing.
+    for name, gap in (("a.csv", ";"), ("b.csv", ";;")):
         out = tmp_path / name
         main(
             [
@@ -323,7 +324,7 @@ def test_bench_deterministic_modulo_time(tmp_path):
                 "--input",
                 GIESEKING,
                 "--matrix",
-                "order=input,lexrand:2;prefilter=off,basic,extended",
+                f"order=input,lexrand:2{gap}prefilter=off,basic,extended",
                 "--out",
                 str(out),
             ]

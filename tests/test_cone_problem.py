@@ -47,6 +47,8 @@ def test_roundtrip():
     [
         "",
         "2\n1 -1\ngroups 0\n",
+        "-1 0\ngroups 0\n",  # a negative dimension
+        "2 1\n1 -1\nfoo 0\n",  # no 'groups k' line
         "2 1\n1 -1 0\ngroups 0\n",
         "2 1\n1 -1\ngroups 1\n",
         "2 1\n1 -1\ngroups 1\n0 2\n",
@@ -71,6 +73,10 @@ def test_problem_validation():
         EnumerationProblem(dim=3, equations=(), groups=((1, 0),))
     with pytest.raises(ValueError):
         EnumerationProblem(dim=4, equations=(), groups=((0, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        EnumerationProblem(dim=-1, equations=(), groups=())
+    with pytest.raises(ValueError):
+        EnumerationProblem(dim=3, equations=(), groups=((),))
 
 
 @pytest.mark.parametrize(
@@ -126,6 +132,7 @@ def test_rays_roundtrip():
     back = parse_rays(text)
     assert back == [(0, 0, 2), (1, 1, 0)]  # sorted on write
     assert text.splitlines()[0] == "# rays 2"
+    assert parse_rays("# rays 2\n1 1 0\n\n0 0 2\n") == [(1, 1, 0), (0, 0, 2)]  # a blank line
 
 
 def test_parse_rays_errors():

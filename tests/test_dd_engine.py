@@ -162,10 +162,10 @@ def test_extended_no_weaker_than_basic():
             assert prefilter_need("extended", pc, sep, 7) >= prefilter_need("basic", pc, sep, 7)
 
 
-def adjacency_over(masks):
+def adjacency_over(masks, dim):
     """The combinatorial adjacency test over the zero sets `masks`, for two
     positions."""
-    containing = zero_index(masks).containing
+    containing = zero_index(masks, dim).containing
     return lambda u, w: adjacent_combinatorial(u, w, masks[u] & masks[w], containing) is None
 
 
@@ -205,16 +205,16 @@ def test_adjacent_combinatorial_unit_rays():
     masks = init_vertices(GIESEKING, "full")[0]
     # Z(e5) & Z(e6) misses only coordinates 5 and 6; no other unit ray's
     # zero set contains it.
-    assert adjacency_over(masks)(5, 6)
+    assert adjacency_over(masks, GIESEKING.dim)(5, 6)
 
 
 def test_adjacent_combinatorial_witness():
     u = zero_mask((1, 0, 1, 0))
     w = zero_mask((0, 1, 0, 1))
     z = zero_mask((1, 1, 1, 1))
-    assert adjacency_over([u, w])(0, 1)
+    assert adjacency_over([u, w], 4)(0, 1)
     # z's zero set (empty) contains Z(u) & Z(w) (also empty): witness found.
-    assert not adjacency_over([u, w, z])(0, 1)
+    assert not adjacency_over([u, w, z], 4)(0, 1)
 
 
 def brute_containing(masks, key):
@@ -297,10 +297,10 @@ def test_zero_index_matches_a_superset_scan(dim, data):
     """Both queries of `zero_index` against a scan: `containing` the
     superset scan, and `avoiding` the disjointness scan, which the engine
     asks with keys Z(u) & ~Z(p)."""
-    masks = data.draw(witness_masks(dim, min_size=0))
-    containing, avoiding = zero_index(masks)
-    top = max(masks, default=0).bit_length()
-    keys = [0, 1 << top, 1 << dim, 1 << (dim + 64), (1 << (dim + 9)) - 1]
+    masks = data.draw(witness_masks(dim, min_size=1))
+    containing, avoiding = zero_index(masks, dim)
+    # Every single bit above the masks: the group filter asks such keys.
+    keys = [0, (1 << dim) - 1, *(1 << j for j in range(max(masks).bit_length(), dim))]
     keys += [u & w for u in masks for w in masks]
     keys += [u & ~z for u in masks for z in masks]
     keys += data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=8))
@@ -310,34 +310,32 @@ def test_zero_index_matches_a_superset_scan(dim, data):
 
 
 def test_zero_index_edge_cases():
-    assert zero_index([]).containing(0) == zero_index([]).avoiding(0) == 0
-    assert zero_index([]).containing(0b101) == zero_index([]).avoiding(0b101) == 0
     masks = [0b011, 0b001, 0b011, 0]
-    containing, avoiding = zero_index(masks)
+    containing, avoiding = zero_index(masks, 3)
     assert containing(0) == 0b1111  # key 0 is in every mask
     assert containing(0b001) == 0b0111
     assert containing(0b011) == 0b0101  # both copies
     assert avoiding(0) == 0b1111  # and misses every one
     assert avoiding(0b001) == 0b1000
     assert avoiding(0b010) == 0b1010
-    # Bits above every mask: inside the last 8-bit chunk, and beyond it
-    # (where `to_bytes` would overflow).  No mask contains them, and they
-    # exclude no mask.
+    # A bit above every mask: no mask contains it, and it excludes no mask.
     assert containing(0b100) == 0
-    assert containing(1 << 8 | 1) == 0
-    assert containing(1 << 200) == 0
-    assert avoiding(0b100) == avoiding(1 << 200) == 0b1111
-    assert avoiding(1 << 8 | 0b010) == avoiding(0b010)
-    # All-zero masks: no chunk columns at all (width 0).
-    containing, avoiding = zero_index([0, 0, 0])
+    assert avoiding(0b100) == 0b1111
+    # The same masks over 12 coordinates: the top byte column is all zeros.
+    containing, avoiding = zero_index(masks, 12)
+    assert containing(1 << 8) == containing(1 << 11 | 1) == 0
+    assert avoiding(1 << 8) == 0b1111
+    assert avoiding(1 << 8 | 0b010) == avoiding(0b010) == 0b1010
+    # All-zero masks.
+    containing, avoiding = zero_index([0, 0, 0], 8)
     assert containing(0) == 0b111
-    assert containing(1) == containing(1 << 7) == containing(1 << 100) == 0
-    assert avoiding(0) == avoiding(1) == avoiding(1 << 100) == 0b111
+    assert containing(1) == containing(1 << 7) == 0
+    assert avoiding(0) == avoiding(1) == avoiding(1 << 7) == 0b111
     # 5,000 positions: a translated column is a 5,000-digit base-2 string,
     # past CPython's 4,300-digit limit on int parsing, which exempts base 2.
     rng = random.Random(8)
     masks = [rng.getrandbits(84) for _ in range(5_000)]
-    containing, avoiding = zero_index(masks)
+    containing, avoiding = zero_index(masks, 84)
     keys = [0, 1 << 83, (1 << 84) - 1]
     keys += [rng.choice(masks) & rng.choice(masks) for _ in range(30)]
     keys += [rng.choice(masks) & rng.getrandbits(84) for _ in range(30)]
@@ -355,7 +353,7 @@ def test_witness_index_matches_the_linear_scan(dim, data):
     `adjacent_combinatorial` on a `zero_index` decides adjacency as the
     linear scan does, and returns the highest witness position."""
     masks = list(dict.fromkeys(data.draw(witness_masks(dim))))
-    containing = zero_index(masks).containing
+    containing = zero_index(masks, dim).containing
     for u, w in product(range(len(masks)), repeat=2):
         if u == w:
             continue
@@ -369,14 +367,14 @@ def test_witness_index_matches_the_linear_scan(dim, data):
 def test_adjacency_edge_cases():
     u, w = 0b0110, 0b1100
     # The pair's own positions contain the key but are never witnesses.
-    assert adjacency_over([u, w, 0b0001])(0, 1)
+    assert adjacency_over([u, w, 0b0001], 4)(0, 1)
     masks = [0b1111, u, 0b0100, w, 0b0111]
-    containing = zero_index(masks).containing
+    containing = zero_index(masks, 4).containing
     assert adjacent_combinatorial(1, 3, u & w, containing) == 4  # the highest of 0, 2 and 4
     assert adjacent_combinatorial(3, 1, u & w, containing) == 4  # either order
     assert adjacent_combinatorial(0, 4, 0b0111, containing) is None
     # Key 0 and the only witness at position 0: the result is 0, not None.
-    assert adjacent_combinatorial(1, 2, 0, zero_index([0, 0b10, 0b01]).containing) == 0
+    assert adjacent_combinatorial(1, 2, 0, zero_index([0, 0b10, 0b01], 2).containing) == 0
 
 
 def test_step_reads_a_zero_witness_as_non_adjacent():
@@ -407,7 +405,7 @@ def grouped(draw, dim):
         groups.append(sorted(coords[at:at + size]))
         at += size
     masks = []
-    for _ in range(draw(st.integers(0, 16))):
+    for _ in range(draw(st.integers(1, 16))):
         mask = draw(st.integers(0, (1 << dim) - 1))
         for group in groups:
             for j in group:
@@ -427,7 +425,7 @@ def test_partner_index_matches_compatible(dim, data):
     """`group_partners` on a `zero_index` equals brute-force `compatible`."""
     groups, masks, s_neg = data.draw(grouped(dim))
     needs = group_needs(groups)
-    containing = zero_index(masks).containing
+    containing = zero_index(masks, dim).containing
     partners_of = group_partners(containing, s_neg, GroupTable.of(groups))
     negatives = bits_at(s_neg, len(masks))
     for u in masks:
@@ -442,14 +440,14 @@ def test_partner_index_matches_compatible(dim, data):
 def test_partner_index_edge_cases():
     groups = GroupTable.of([(0, 1, 2), (3,)])
     clean, other, zero = 0b1110, 0b1101, 0b1111  # non-zero at 0 / at 1 / neither
-    containing = zero_index([clean, other, clean, zero]).containing
+    containing = zero_index([clean, other, clean, zero], 4).containing
     assert group_partners(containing, 0, groups)(clean) == 0  # empty S_-
     partners_of = group_partners(containing, 0b1111, groups)
     assert partners_of(clean) == 0b1101  # `other` is out
     assert partners_of(zero) == 0b1111  # zero on the group: every candidate
     assert group_partners(containing, 0b0110, groups)(clean) == 0b0100  # only S_-
     # A group of one coordinate never rejects anything.
-    assert group_partners(zero_index([0b0111]).containing, 1, groups)(0b0111) == 1
+    assert group_partners(zero_index([0b0111], 4).containing, 1, groups)(0b0111) == 1
 
 
 @pytest.mark.parametrize("name,filtering", product(("gieseking", "s2xs1"), (True, False)))
@@ -1555,9 +1553,9 @@ def test_one_zero_index_per_stage_with_both_sides(monkeypatch, adjacency):
     builds = []
     real = dd_engine.zero_index
 
-    def counted(masks):
+    def counted(masks, dim):
         builds.append(len(masks))
-        return real(masks)
+        return real(masks, dim)
 
     monkeypatch.setattr(dd_engine, "zero_index", counted)
     _, stats = run(GIESEKING if adjacency == "alg" else LOOP9, RunConfig(adjacency=adjacency))
@@ -1863,7 +1861,7 @@ def test_bulk_removal_by_the_returned_witness_is_exact(dim, data):
     `adjacent_combinatorial` returns would remove, `avoiding(Z(u) &
     ~Z(p))` but p, u and w, is non-adjacent to u under the linear scan."""
     masks = list(dict.fromkeys(data.draw(witness_masks(dim))))
-    containing, avoiding = zero_index(masks)
+    containing, avoiding = zero_index(masks, dim)
     for u, w in product(range(len(masks)), repeat=2):
         if u == w:
             continue

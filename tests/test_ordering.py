@@ -41,6 +41,12 @@ def test_parse_strategy_rejects(text):
         parse_strategy(text)
 
 
+@pytest.mark.parametrize("kind,seed", [("input", 3), ("lexrand", None)])
+def test_strategy_takes_a_seed_exactly_for_lexrand(kind, seed):
+    with pytest.raises(ValueError):
+        OrderingStrategy(kind, seed)
+
+
 def test_strategy_label_roundtrip():
     for text in ("input", "position", "lexpos", "lexrand:42", "dynamic"):
         assert strategy_label(parse_strategy(text)) == text

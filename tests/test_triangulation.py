@@ -51,6 +51,8 @@ def test_write_roundtrip():
         "1\n2:0123 - - -\n",  # target out of range
         "1\n0:0122 - - -\n",  # not a permutation
         "1\n0:012 - - -\n",  # bad token
+        "1\nx:0123 - - -\n",  # a target that is not a number
+        "-1\n",  # a negative count
         "1\n0:0123 - - -\n",  # face glued to itself identically
         "2\n1:0123 - - -\n- - - -\n",  # partner slot not filled
         "2\n1:0123 - - -\n0:1230 - - -\n",  # not an involution
@@ -59,6 +61,19 @@ def test_write_roundtrip():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_triangulation(text)
+
+
+@pytest.mark.parametrize(
+    "n,gluings",
+    [
+        (-1, ()),  # a negative count
+        (1, ()),  # a missing row
+        (1, ((None, None, None),)),  # three faces
+    ],
+)
+def test_constructor_rejects_bad_shapes(n, gluings):
+    with pytest.raises(ValueError):
+        Triangulation(n, gluings)
 
 
 def test_involution_enforced_in_constructor():
