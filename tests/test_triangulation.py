@@ -1,11 +1,13 @@
 """Tests for triangulation parsing, skeleta, and matching equations."""
 
+import hashlib
 import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from conedd.cone_problem import parse_cone, write_cone
 from conedd.errors import ParseError
 from conedd.exact_linalg import sparse_row
 from conedd.triangulation import (
@@ -19,6 +21,7 @@ from conedd.triangulation import (
 from test_acceptance import random_closed_triangulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN_EQUATIONS = Path(__file__).resolve().parent / "data" / "equations"
 
 ONETET = parse_triangulation("1\n0:1023 0:1023 0:0132 0:0132\n")
 
@@ -197,6 +200,33 @@ def test_matching_equations_match_the_dense_reference():
             assert all(list(row) == sorted(row) for row in rows)
             lengths.update(map(len, rows))
     assert lengths == {0, 2, 4}  # rows left whole, partly cancelled and emptied
+
+
+@pytest.mark.parametrize("name", ["onetet", "s2xs1", "loop9", "loop12"])
+def test_matching_equations_match_their_golden_files(name):
+    """The cone text of each fixture's matching equations is the committed
+    golden file, and each row holds its items in the file's order (columns
+    ascending).  onetet glues faces to their own tetrahedron, so its rows
+    merge and cancel entries."""
+    problem = standard_matching_equations(parse_triangulation((FIXTURES / f"{name}.tri").read_text()))
+    golden = (GOLDEN_EQUATIONS / f"{name}.cone").read_text()
+    assert write_cone(problem) == golden
+    items = [list(row.items()) for row in problem.equations]
+    assert items == [list(row.items()) for row in parse_cone(golden).equations]
+
+
+def test_random_matching_equations_are_pinned():
+    """A SHA-256 over 40 seeded random closed 8-tetrahedron triangulations'
+    problems, with and without `dedup`: dimension, each row's items in order,
+    and the groups."""
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        t = random_closed_triangulation(8, rng)
+        for dedup in (False, True):
+            p = standard_matching_equations(t, dedup=dedup)
+            digest.update(repr((p.dim, [tuple(r.items()) for r in p.equations], p.groups)).encode())
+    assert digest.hexdigest() == "30cf1208ccad7c1e14b1a58d122ab9eed182637f309ac12c5e5ffae9f839564b"
 
 
 def test_boundary_face_equations_skipped():
