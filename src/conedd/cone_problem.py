@@ -15,6 +15,7 @@ writes dense lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -30,27 +31,60 @@ class EnumerationProblem:
     groups: tuple[ConstraintGroup, ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 0:
+        """Each rule is tested on every equation, group or index at once;
+        only when one fails are they tested one at a time, in order, to
+        name the first that breaks a rule."""
+        dim, equations, groups = self.dim, self.equations, self.groups
+        if dim < 0:
             raise ValueError("dimension must be non-negative")
-        for i, row in enumerate(self.equations):
-            if not isinstance(row, dict):
-                raise ValueError(f"equation {i} is not a {{column: value}} dict")
-            if row and (min(row) < 0 or max(row) >= self.dim):
-                raise ValueError(f"equation {i} has a column outside range({self.dim})")
-            if not all(row.values()):
-                raise ValueError(f"equation {i} holds a zero value")
-        seen: set[int] = set()
-        for group in self.groups:
-            if not group:
-                raise ValueError("empty constraint group")
-            if list(group) != sorted(group) or len(set(group)) != len(group):
-                raise ValueError("group indices must be strictly increasing")
-            for k in group:
-                if not 0 <= k < self.dim:
-                    raise ValueError(f"group index {k} out of range")
-                if k in seen:
-                    raise ValueError("groups must be pairwise disjoint")
-                seen.add(k)
+        if _row_fault(equations, dim):
+            for i, row in enumerate(equations):
+                fault = _row_fault((row,), dim)
+                if fault:
+                    raise ValueError(f"equation {i} {fault}")
+        if _group_fault(groups) or _index_fault(list(chain.from_iterable(groups)), dim, set()):
+            seen: set[int] = set()
+            for group in groups:
+                fault = _group_fault((group,))
+                if fault:
+                    raise ValueError(fault)
+                for k in group:
+                    fault = _index_fault((k,), dim, seen)
+                    if fault:
+                        raise ValueError(fault)
+                    seen.add(k)
+
+
+def _row_fault(rows: Sequence[Row], dim: int) -> str | None:
+    """The rule some row of `rows` breaks, the first in rule order, or None."""
+    if not all(map(isinstance, rows, repeat(dict))):
+        return "is not a {column: value} dict"
+    columns = set().union(*rows)
+    if columns and (min(columns) < 0 or max(columns) >= dim):
+        return f"has a column outside range({dim})"
+    if not all(chain.from_iterable(map(dict.values, rows))):
+        return "holds a zero value"
+    return None
+
+
+def _group_fault(groups: Sequence[ConstraintGroup]) -> str | None:
+    """The rule some group breaks, the first in rule order, or None."""
+    if not all(groups):
+        return "empty constraint group"
+    if list(map(list, groups)) != list(map(sorted, map(set, groups))):
+        return "group indices must be strictly increasing"
+    return None
+
+
+def _index_fault(indices: Sequence[int], dim: int, seen: set[int]) -> str | None:
+    """The rule some group index breaks, the first in rule order, or None;
+    `seen` holds the indices of the groups before them."""
+    outside = [k for k in indices if not 0 <= k < dim]
+    if outside:
+        return f"group index {outside[0]} out of range"
+    if len(set(indices)) != len(indices) or not seen.isdisjoint(indices):
+        return "groups must be pairwise disjoint"
+    return None
 
 
 def _int(token: str) -> int:
@@ -132,11 +166,22 @@ def admissible(problem: EnumerationProblem, v: Sequence[int]) -> bool:
     return True
 
 
+class _IntText(dict):
+    """`str(x)` of an int, read from the dict for the small ones."""
+
+    def __missing__(self, x: int) -> str:
+        return str(x)
+
+
+_INT_TEXT = _IntText((x, str(x)) for x in range(256))
+
+
 def write_rays(rays: Iterable[Sequence[int]]) -> str:
     """Serialize rays: header `# rays R`, then sorted rows of integers."""
     rows = sorted(tuple(r) for r in rays)
+    text = _INT_TEXT.__getitem__
     out = [f"# rays {len(rows)}"]
-    out.extend(" ".join(map(str, r)) for r in rows)
+    out.extend(" ".join(map(text, r)) for r in rows)
     return "\n".join(out) + "\n"
 
 

@@ -101,11 +101,21 @@ REPRESENTATIONS = ("full", "inner")
 PREFILTER_MODES = ("off", "basic", "extended")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Ray:
-    """Output ray: non-negative integer coordinates at gcd 1."""
+    """Output ray: non-negative integer coordinates at gcd 1.
 
+    The slot is declared by hand: `slots=True` rebuilds the class, and the
+    frozen `__setattr__` then raises `TypeError` for a name that is not a
+    field.  `__reduce__` rebuilds a `Ray` through its constructor for pickle
+    and `deepcopy`, which would otherwise set the slot through that
+    `__setattr__`."""
+
+    __slots__ = ("coords",)
     coords: IntVector
+
+    def __reduce__(self):
+        return Ray, (self.coords,)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ emits one equation per internal face and edge of that face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .cone_problem import EnumerationProblem, content_lines
@@ -31,6 +31,13 @@ def _invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
+# The 24 permutations: _INVERSE maps each to its inverse, and _PERM_OF maps
+# the text of a gluing token's images ("1023") to its permutation.  A
+# permutation found here passes the checks `sorted` and `_invert` would make.
+_INVERSE: dict[Perm, Perm] = {p: _invert(p) for p in permutations(range(4))}
+_PERM_OF: dict[str, Perm] = {"".join(map(str, p)): p for p in _INVERSE}
+
+
 @dataclass(frozen=True)
 class Triangulation:
     n: int
@@ -39,23 +46,29 @@ class Triangulation:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("tetrahedron count must be non-negative")
-        if len(self.gluings) != self.n:
+        n, gluings = self.n, self.gluings
+        if len(gluings) != n:
             raise ValueError("need one gluing row per tetrahedron")
-        for i, row in enumerate(self.gluings):
+        for i, row in enumerate(gluings):
             if len(row) != 4:
                 raise ValueError("need one gluing entry per face")
             for j, gluing in enumerate(row):
                 if gluing is None:
                     continue
                 target, perm = gluing
-                if not 0 <= target < self.n:
+                if not 0 <= target < n:
                     raise ValueError(f"tetrahedron {i} face {j}: target {target} out of range")
-                if sorted(perm) != [0, 1, 2, 3]:
-                    raise ValueError(f"tetrahedron {i} face {j}: not a permutation")
+                try:
+                    inverse = _INVERSE.get(perm)
+                except TypeError:  # a list, say: only the checks below can judge it
+                    inverse = None
+                if inverse is None:
+                    if sorted(perm) != [0, 1, 2, 3]:
+                        raise ValueError(f"tetrahedron {i} face {j}: not a permutation")
+                    inverse = _invert(perm)
                 if target == i and perm == _IDENTITY:
                     raise ValueError(f"tetrahedron {i} face {j}: face glued to itself identically")
-                partner = self.gluings[target][perm[j]]
-                if partner != (i, _invert(perm)):
+                if gluings[target][perm[j]] != (i, inverse):
                     raise ValueError(
                         f"tetrahedron {i} face {j}: gluing is not matched by its inverse"
                     )
@@ -122,13 +135,16 @@ def parse_triangulation(text: str) -> Triangulation:
                 row.append(None)
                 continue
             head, sep, tail = token.partition(":")
-            if not sep or len(tail) != 4 or any(c not in "0123" for c in tail):
-                raise ParseError(f"tetrahedron {i} face {j}: bad token {token!r}")
+            perm = _PERM_OF.get(tail)
+            if perm is None:  # a bad token, or 4 digits 0-3 that `Triangulation` rejects
+                if not sep or len(tail) != 4 or any(c not in "0123" for c in tail):
+                    raise ParseError(f"tetrahedron {i} face {j}: bad token {token!r}")
+                perm = tuple(int(c) for c in tail)
             try:
                 target = int(head)
             except ValueError:
                 raise ParseError(f"tetrahedron {i} face {j}: bad token {token!r}") from None
-            row.append((target, tuple(int(c) for c in tail)))
+            row.append((target, perm))
         rows.append(tuple(row))
     try:
         return Triangulation(n, tuple(rows))
@@ -180,6 +196,20 @@ _QUAD_OFFSET = ((0, 4, 5, 6), (4, 0, 6, 5), (5, 6, 0, 4), (6, 5, 4, 0))
 # its edges in sorted pair order.
 _CORNERS = tuple(tuple(v for v in (3, 2, 1, 0) if v != j) for j in range(4))
 
+# _SIDES[j][perm]: for face j glued by `perm`, one entry per edge of the face
+# in sorted pair order: the column offsets of the triangle and quad types at
+# corner c on this side, then those at perm[c] on the far side.
+_SIDES = tuple(
+    {
+        perm: tuple(
+            (c, _QUAD_OFFSET[c][j], perm[c], _QUAD_OFFSET[perm[c]][perm[j]])
+            for c in _CORNERS[j]
+        )
+        for perm in _INVERSE
+    }
+    for j in range(4)
+)
+
 
 def standard_matching_equations(t: Triangulation, dedup: bool = False) -> EnumerationProblem:
     """Matching equations in standard coordinates, d = 7n.
@@ -194,25 +224,26 @@ def standard_matching_equations(t: Triangulation, dedup: bool = False) -> Enumer
     """
     d = 7 * t.n
     rows: list[Row] = []
-    for i in range(t.n):
-        for j in range(4):
-            gluing = t.gluings[i][j]
+    for i, gluings in enumerate(t.gluings):
+        here = 7 * i
+        for j, gluing in enumerate(gluings):
             if gluing is None:
                 continue
             target, perm = gluing
-            pj = perm[j]
-            if (i, j) > (target, pj):
+            if target < i or (target == i and perm[j] < j):
+                continue  # the face's other side, the lower pair, emits its rows
+            there = 7 * target
+            sides = _SIDES[j][perm]
+            if target != i:  # then i < target, so the columns ascend
+                rows += [
+                    {here + a: 1, here + b: 1, there + x: -1, there + y: -1}
+                    for a, b, x, y in sides
+                ]
                 continue
-            for c in _CORNERS[j]:
-                pc = perm[c]
-                here = (7 * i + c, 7 * i + _QUAD_OFFSET[c][j])
-                there = (7 * target + pc, 7 * target + _QUAD_OFFSET[pc][pj])
-                if target != i:  # then i < target, so the columns ascend
-                    rows.append({here[0]: 1, here[1]: 1, there[0]: -1, there[1]: -1})
-                    continue
-                # A face glued to its own tetrahedron: merge the two sides.
-                row = dict.fromkeys(here, 1)
-                for col in there:
+            # A face glued to its own tetrahedron: merge the two sides.
+            for a, b, x, y in sides:
+                row = dict.fromkeys((here + a, here + b), 1)
+                for col in (here + x, here + y):
                     if col in row:
                         del row[col]  # +1 and -1 cancel
                     else:
@@ -220,7 +251,7 @@ def standard_matching_equations(t: Triangulation, dedup: bool = False) -> Enumer
                 rows.append(dict(sorted(row.items())))
     if dedup:  # equal rows hold the same items in the same order
         rows = list({tuple(row.items()): row for row in rows}.values())
-    groups = tuple((7 * i + 4, 7 * i + 5, 7 * i + 6) for i in range(t.n))
+    groups = tuple(zip(range(4, d, 7), range(5, d, 7), range(6, d, 7)))
     return EnumerationProblem(d, tuple(rows), groups)
 
 

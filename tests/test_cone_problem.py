@@ -1,5 +1,6 @@
 """Tests for problem definitions and the text formats."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,41 @@ def test_problem_refuses_rows_that_are_not_sparse_rows(row):
         EnumerationProblem(dim=3, equations=({0: 1, 2: -1}, row), groups=())
 
 
+# id: (dim, equations, groups, the whole message).  Where an input has more
+# than one fault, the message names the first: the rows come before the
+# groups, each row is judged by every rule before the next row, and each
+# group's indices are judged in order, by range and then against the
+# groups before it.
+PROBLEM_REJECTIONS = {
+    "dim-negative": (-1, (), (), "dimension must be non-negative"),
+    "list-row": (3, ({0: 1}, [1, 0, 0]), (), "equation 1 is not a {column: value} dict"),
+    "column-high": (3, ({0: 1}, {1: 1}, {3: 1}), (), "equation 2 has a column outside range(3)"),
+    "column-negative": (3, ({-1: 1},), (), "equation 0 has a column outside range(3)"),
+    "zero-value": (3, ({0: 1}, {1: 0, 2: 1}), (), "equation 1 holds a zero value"),
+    "first-bad-row": (3, ({0: 1}, {1: 1, 2: 0}, (1, 0, 0)), (), "equation 1 holds a zero value"),
+    "first-rule": (3, ({0: 1}, {5: 0}), (), "equation 1 has a column outside range(3)"),
+    "rows-first": (3, ({0: 1}, {5: 1}), ((),), "equation 1 has a column outside range(3)"),
+    "group-empty": (3, (), ((0,), ()), "empty constraint group"),
+    "group-unsorted": (3, (), ((1, 0),), "group indices must be strictly increasing"),
+    "group-repeat": (3, (), ((0,), (1, 1)), "group indices must be strictly increasing"),
+    "index-high": (3, (), ((0, 1), (2, 3)), "group index 3 out of range"),
+    "index-negative": (3, (), ((-1, 0),), "group index -1 out of range"),
+    "overlap": (4, (), ((0, 1), (1, 2)), "groups must be pairwise disjoint"),
+    "overlap-before-range": (4, (), ((0, 1), (1, 5)), "groups must be pairwise disjoint"),
+    "range-before-overlap": (4, (), ((0, 1), (2, 5), (2,)), "group index 5 out of range"),
+    "first-bad-group": (4, (), ((0, 1), (2, 1), ()), "group indices must be strictly increasing"),
+    "index-before-later-group": (4, (), ((0, 9), ()), "group index 9 out of range"),
+}
+
+
+@pytest.mark.parametrize(
+    "dim,equations,groups,message", PROBLEM_REJECTIONS.values(), ids=PROBLEM_REJECTIONS
+)
+def test_problem_rejections_name_the_first_bad_item(dim, equations, groups, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EnumerationProblem(dim, equations, groups)
+
+
 def test_problem_accepts_an_empty_row():
     p = EnumerationProblem(dim=3, equations=({}, {1: 2}), groups=())
     assert p.equations == ({}, {1: 2})
@@ -133,6 +169,15 @@ def test_rays_roundtrip():
     assert back == [(0, 0, 2), (1, 1, 0)]  # sorted on write
     assert text.splitlines()[0] == "# rays 2"
     assert parse_rays("# rays 2\n1 1 0\n\n0 0 2\n") == [(1, 1, 0), (0, 0, 2)]  # a blank line
+
+
+def test_write_rays_writes_every_int_as_str_does():
+    """Coordinates from the small-int table and from `str` give the same
+    text: negative ones, the table's edges and ones past 2^64."""
+    rays = [(0, 1, 255, 256, 2**64, 2**64 + 1), (-1, -255, -256, -(2**70), 7, 3**50)]
+    assert write_rays(rays) == "".join(
+        line + "\n" for line in ["# rays 2", *(" ".join(map(str, r)) for r in sorted(rays))]
+    )
 
 
 def test_parse_rays_errors():

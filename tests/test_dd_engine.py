@@ -1,8 +1,10 @@
 """Tests for the incremental enumeration engine."""
 
+import pickle
 import random
 from array import array
 from collections import Counter
+from copy import deepcopy
 from dataclasses import FrozenInstanceError, replace
 from itertools import product
 from pathlib import Path
@@ -917,11 +919,16 @@ def test_run_config_validation():
 
 def test_ray_has_slots_and_stays_frozen():
     """A `Ray` holds its coordinates in a slot, with no `__dict__`, and is
-    still frozen, equal by value and hashable."""
+    still frozen, for its field and for any other name, equal by value and
+    hashable; pickle and `deepcopy` rebuild an equal `Ray`."""
     ray = Ray((1, 0, 2))
     assert Ray.__slots__ == ("coords",) and not hasattr(ray, "__dict__")
     with pytest.raises(FrozenInstanceError):
         ray.coords = (0, 0, 0)
+    with pytest.raises(FrozenInstanceError):
+        ray.x = 1
+    for copy in (pickle.loads(pickle.dumps(ray)), deepcopy(ray)):
+        assert type(copy) is Ray and copy == ray and copy.coords == (1, 0, 2)
     assert ray == Ray((1, 0, 2)) != Ray((1, 0, 3))
     assert hash(ray) == hash(Ray((1, 0, 2)))
     assert len({ray, Ray((1, 0, 2)), Ray((0, 1, 2))}) == 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -64,6 +65,100 @@ def test_write_roundtrip():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_triangulation(text)
+
+
+def exactly(message):
+    """A `match=` pattern for the whole of `message`."""
+    return f"^{re.escape(message)}$"
+
+
+UNMATCHED = "gluing is not matched by its inverse"
+
+# id: (text, the whole message); where an input has more than one fault,
+# the message names the first in reading order.
+PARSE_REJECTIONS = {
+    "empty": ("", "empty triangulation file"),
+    "count-not-a-number": ("x\n", "first line must be the tetrahedron count, got 'x'"),
+    "count-negative": ("-1\n", "tetrahedron count must be non-negative"),
+    "rows-missing": ("2\n- - - -\n", "expected 2 gluing lines, found 1"),
+    "rows-extra": ("1\n- - - -\n- - - -\n", "expected 1 gluing lines, found 2"),
+    "row-long": ("2\n- - - -\n- - - - -\n", "tetrahedron 1: expected 4 face tokens, got 5"),
+    "tail-short": ("1\n- 0:012 - -\n", "tetrahedron 0 face 1: bad token '0:012'"),
+    "no-colon": ("1\n- - 0123 -\n", "tetrahedron 0 face 2: bad token '0123'"),
+    "tail-not-digits": ("1\n- - - 0:01x3\n", "tetrahedron 0 face 3: bad token '0:01x3'"),
+    "tail-long": ("1\n- - - 0:01234\n", "tetrahedron 0 face 3: bad token '0:01234'"),
+    "target-not-a-number": ("1\nx:0123 - - -\n", "tetrahedron 0 face 0: bad token 'x:0123'"),
+    "target-empty": ("1\n:0123 - - -\n", "tetrahedron 0 face 0: bad token ':0123'"),
+    "two-colons": ("1\n- 0:1:023 - -\n", "tetrahedron 0 face 1: bad token '0:1:023'"),
+    "first-bad-token": ("2\n1:0123 - - -\n0:0123 - x -\n", "tetrahedron 1 face 2: bad token 'x'"),
+    "target-range": ("1\n- 2:0123 - -\n", "tetrahedron 0 face 1: target 2 out of range"),
+    "target-negative": ("1\n- - -1:0123 -\n", "tetrahedron 0 face 2: target -1 out of range"),
+    "not-a-permutation": ("1\n0:0122 - - -\n", "tetrahedron 0 face 0: not a permutation"),
+    "self-identity": (
+        "1\n0:0123 - - -\n",
+        "tetrahedron 0 face 0: face glued to itself identically",
+    ),
+    "partner-empty": ("2\n1:0123 - - -\n- - - -\n", f"tetrahedron 0 face 0: {UNMATCHED}"),
+    "partner-not-inverse": ("2\n- - - -\n- 0:1230 - -\n", f"tetrahedron 1 face 1: {UNMATCHED}"),
+    "first-bad-gluing": (
+        "2\n1:0123 0:0213 0:0213 -\n0:0123 - - 1:0123\n",
+        "tetrahedron 1 face 3: face glued to itself identically",
+    ),
+}
+
+
+@pytest.mark.parametrize("text,message", PARSE_REJECTIONS.values(), ids=PARSE_REJECTIONS)
+def test_parse_rejections_name_the_first_bad_item(text, message):
+    with pytest.raises(ParseError, match=exactly(message)):
+        parse_triangulation(text)
+
+
+def lone(j, gluing):
+    """The gluing rows of one tetrahedron whose only glued face is j."""
+    return (tuple(gluing if k == j else None for k in range(4)),)
+
+
+# id: (n, gluings, the whole message).
+CONSTRUCTOR_REJECTIONS = {
+    "count-negative": (-1, (), "tetrahedron count must be non-negative"),
+    "rows-missing": (2, ((None,) * 4,), "need one gluing row per tetrahedron"),
+    "row-short": (2, ((None,) * 4, (None,) * 3), "need one gluing entry per face"),
+    "target-range": (1, lone(0, (1, (0, 1, 2, 3))), "tetrahedron 0 face 0: target 1 out of range"),
+    "repeated-image": (1, lone(2, (0, (0, 1, 2, 2))), "tetrahedron 0 face 2: not a permutation"),
+    "short-perm": (1, lone(1, (0, (0, 1, 2))), "tetrahedron 0 face 1: not a permutation"),
+    "perm-as-text": (1, lone(1, (0, "1023")), "tetrahedron 0 face 1: not a permutation"),
+    "bad-list": (1, lone(1, (0, [0, 1, 2, 2])), "tetrahedron 0 face 1: not a permutation"),
+    # A list can hold a permutation, yet it never equals the tuple that its
+    # partner's inverse check builds.
+    "list-perm": (
+        2,
+        (((1, [0, 1, 2, 3]), None, None, None), ((0, (0, 1, 2, 3)), None, None, None)),
+        f"tetrahedron 1 face 0: {UNMATCHED}",
+    ),
+    "list-perm-own-tetrahedron": (
+        1,
+        (((0, [1, 0, 2, 3]), (0, (1, 0, 2, 3)), None, None),),
+        f"tetrahedron 0 face 1: {UNMATCHED}",
+    ),
+    "self-identity": (
+        1,
+        lone(3, (0, (0, 1, 2, 3))),
+        "tetrahedron 0 face 3: face glued to itself identically",
+    ),
+    "partner-elsewhere": (
+        2,
+        (((1, (1, 0, 2, 3)), None, None, None), ((0, (1, 0, 2, 3)), None, None, None)),
+        f"tetrahedron 0 face 0: {UNMATCHED}",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n,gluings,message", CONSTRUCTOR_REJECTIONS.values(), ids=CONSTRUCTOR_REJECTIONS
+)
+def test_constructor_rejections_name_the_first_bad_item(n, gluings, message):
+    with pytest.raises(ValueError, match=exactly(message)):
+        Triangulation(n, gluings)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +303,8 @@ def test_matching_equations_match_their_golden_files(name):
     golden file, and each row holds its items in the file's order (columns
     ascending).  onetet glues faces to their own tetrahedron, so its rows
     merge and cancel entries."""
-    problem = standard_matching_equations(parse_triangulation((FIXTURES / f"{name}.tri").read_text()))
+    t = parse_triangulation((FIXTURES / f"{name}.tri").read_text())
+    problem = standard_matching_equations(t)
     golden = (GOLDEN_EQUATIONS / f"{name}.cone").read_text()
     assert write_cone(problem) == golden
     items = [list(row.items()) for row in problem.equations]
