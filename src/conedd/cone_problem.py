@@ -173,7 +173,7 @@ class _IntText(dict):
         return str(x)
 
 
-_INT_TEXT = _IntText((x, str(x)) for x in range(256))
+_INT_TEXT = _IntText((x, str(x)) for x in range(64))
 
 
 def write_rays(rays: Iterable[Sequence[int]]) -> str:
@@ -182,7 +182,8 @@ def write_rays(rays: Iterable[Sequence[int]]) -> str:
     text = _INT_TEXT.__getitem__
     out = [f"# rays {len(rows)}"]
     out.extend(" ".join(map(text, r)) for r in rows)
-    return "\n".join(out) + "\n"
+    out.append("")  # the last newline, with no second copy of the text
+    return "\n".join(out)
 
 
 def parse_rays(text: str) -> list[IntVector]:

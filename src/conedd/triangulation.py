@@ -196,19 +196,19 @@ _QUAD_OFFSET = ((0, 4, 5, 6), (4, 0, 6, 5), (5, 6, 0, 4), (6, 5, 4, 0))
 # its edges in sorted pair order.
 _CORNERS = tuple(tuple(v for v in (3, 2, 1, 0) if v != j) for j in range(4))
 
-# _SIDES[j][perm]: for face j glued by `perm`, one entry per edge of the face
+# _SIDES[perm][j]: for face j glued by `perm`, one entry per edge of the face
 # in sorted pair order: the column offsets of the triangle and quad types at
 # corner c on this side, then those at perm[c] on the far side.
-_SIDES = tuple(
-    {
-        perm: tuple(
+_SIDES = {
+    perm: tuple(
+        tuple(
             (c, _QUAD_OFFSET[c][j], perm[c], _QUAD_OFFSET[perm[c]][perm[j]])
             for c in _CORNERS[j]
         )
-        for perm in _INVERSE
-    }
-    for j in range(4)
-)
+        for j in range(4)
+    )
+    for perm in _INVERSE
+}
 
 
 def standard_matching_equations(t: Triangulation, dedup: bool = False) -> EnumerationProblem:
@@ -233,7 +233,7 @@ def standard_matching_equations(t: Triangulation, dedup: bool = False) -> Enumer
             if target < i or (target == i and perm[j] < j):
                 continue  # the face's other side, the lower pair, emits its rows
             there = 7 * target
-            sides = _SIDES[j][perm]
+            sides = _SIDES[perm][j]
             if target != i:  # then i < target, so the columns ascend
                 rows += [
                     {here + a: 1, here + b: 1, there + x: -1, there + y: -1}
