@@ -174,7 +174,7 @@ def test_rays_roundtrip():
 def test_write_rays_writes_every_int_as_str_does():
     """Coordinates from the small-int table and from `str` give the same
     text: negative ones, the table's edges and ones past 2^64."""
-    rays = [(0, 1, 255, 256, 2**64, 2**64 + 1), (-1, -255, -256, -(2**70), 7, 3**50)]
+    rays = [(0, 1, 63, 64, 2**64, 2**64 + 1), (-1, -63, -64, -(2**70), 255, 3**50)]
     assert write_rays(rays) == "".join(
         line + "\n" for line in ["# rays 2", *(" ".join(map(str, r)) for r in sorted(rays))]
     )
